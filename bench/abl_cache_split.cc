@@ -91,7 +91,7 @@ double Run(double dpu_cache_share, double host_fraction) {
           });
     } else {
       rsc.Read(*file, page * kPage, kPage,
-               [finish](Result<Buffer> d) { finish(d.ok()); });
+               [finish](Result<Buffer> d, uint64_t) { finish(d.ok()); });
     }
   };
   issue();

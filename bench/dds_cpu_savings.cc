@@ -75,7 +75,7 @@ Point Run(double rate, double offload_fraction) {
     uint64_t offset = uint64_t(rng.NextBounded(4000)) * 8192;
     sim.ScheduleAt(at, [rsc, &completed, offloadable, offset, &file] {
       rsc->Read(*file, offset, 8192,
-                [&completed](Result<Buffer> d) {
+                [&completed](Result<Buffer> d, uint64_t) {
                   if (d.ok()) ++completed;
                 },
                 offloadable ? 0 : se::kRequestFlagRequiresHost);

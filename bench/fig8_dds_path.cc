@@ -66,7 +66,7 @@ Point Run(bool offload, int requests, int outstanding) {
     uint64_t offset = uint64_t(rng.NextBounded(4000)) * 8192;
     sim::SimTime start = sim.now();
     rsc.Read(*file, offset, 8192,
-             [&, start](Result<Buffer> d) {
+             [&, start](Result<Buffer> d, uint64_t) {
                if (d.ok()) latency.Add(sim.now() - start);
                ++done;
                issue();

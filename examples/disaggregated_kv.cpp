@@ -77,18 +77,12 @@ int main() {
   // applied by a host handler (index mutation logic lives on the host).
   uint64_t host_puts = 0;
   server.storage().SetHostHandler(
-      [&](se::RemoteRequest request, std::function<void(Buffer)> reply) {
+      [&](se::RemoteRequest request, se::ReplyFn reply) {
         ++host_puts;
         // Host-side PUT: write the bucket through the DPU file service.
         server.storage().file_service().WriteAsync(
             request.file, request.offset, std::move(request.data),
-            se::PersistMode::kDpuLogAck,
-            [tag = request.tag, reply = std::move(reply)](Status s) {
-              se::RemoteResponse resp;
-              resp.tag = tag;
-              resp.ok = s.ok();
-              reply(se::EncodeRemoteResponse(resp));
-            });
+            se::PersistMode::kDpuLogAck, se::AckWrite(std::move(reply)));
       });
   server.storage().Serve();
 
@@ -102,7 +96,7 @@ int main() {
   auto get = [&](const std::string& key,
                  std::function<void(Result<std::string>)> cb) {
     kv.Read(*file, uint64_t(BucketOf(key)) * kBucketBytes, kBucketBytes,
-            [key, cb = std::move(cb)](Result<Buffer> bucket) {
+            [key, cb = std::move(cb)](Result<Buffer> bucket, uint64_t) {
               if (!bucket.ok()) {
                 cb(bucket.status());
                 return;

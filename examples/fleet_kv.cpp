@@ -98,7 +98,7 @@ class KvClient {
     Connection(*node)->Read(
         fleet_->shard_file(fleet_->storage_index(*node)),
         uint64_t(BucketOf(key)) * kBucketBytes, kBucketBytes,
-        [key, cb = std::move(cb)](Result<Buffer> bucket) {
+        [key, cb = std::move(cb)](Result<Buffer> bucket, uint64_t) {
           if (!bucket.ok()) {
             cb(bucket.status());
             return;

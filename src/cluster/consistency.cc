@@ -257,13 +257,14 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
     cm->stats_.hint_bytes += hint.data.size();
     uint64_t seq = ArmWatchdog(
         [self = shared_from_this()] { self->ReplayNextHint(); });
-    NodeClient()->WriteVersioned(
-        fleet->shard_file(node_index), hint.offset, hint.version,
-        std::move(hint.data), [self = shared_from_this(), seq](Status s) {
+    NodeClient()->Write(
+        fleet->shard_file(node_index), hint.offset, std::move(hint.data),
+        [self = shared_from_this(), seq](Status s) {
           if (!self->StepDone(seq)) return;
           if (!s.ok()) ++self->cm->stats_.catchup_write_failures;
           self->ReplayNextHint();
-        });
+        },
+        se::kRequestFlagVersioned, hint.version);
   }
 
   void CopyNextDiff() {
@@ -303,7 +304,7 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
         [self = shared_from_this(), item, candidates, index]() mutable {
           self->TryDonor(item, std::move(candidates), index + 1);
         });
-    DonorClient(donor)->ReadVersioned(
+    DonorClient(donor)->Read(
         donor_file, item.offset, item.length,
         [self = shared_from_this(), item, candidates, index, seq](
             Result<Buffer> data, uint64_t version) mutable {
@@ -317,15 +318,17 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
           self->cm->stats_.diff_bytes += data->size();
           uint64_t wseq = self->ArmWatchdog(
               [self] { self->CopyNextDiff(); });
-          self->NodeClient()->WriteVersioned(
+          self->NodeClient()->Write(
               self->fleet->shard_file(self->node_index), item.offset,
-              version, std::move(*data),
+              std::move(*data),
               [self, wseq](Status s) {
                 if (!self->StepDone(wseq)) return;
                 if (!s.ok()) ++self->cm->stats_.catchup_write_failures;
                 self->CopyNextDiff();
-              });
-        });
+              },
+              se::kRequestFlagVersioned, version);
+        },
+        se::kRequestFlagVersioned);
   }
 
   // Any block the authority has committed past what the node durably

@@ -129,7 +129,10 @@ void FleetClient::Issue(uint64_t key, bool is_read, uint8_t flags,
   auto op = std::make_shared<Op>();
   op->key = key;
   op->offset = key * options_.request_bytes;
-  op->flags = flags;
+  // With the consistency layer on, every RPC of the op is versioned.
+  op->flags = flags | (fleet_->consistency().enabled()
+                           ? se::kRequestFlagVersioned
+                           : 0);
   op->start = fleet_->simulator()->now();
   op->on_done = std::move(done);
   op->on_done_ok = std::move(done_ok);
@@ -182,18 +185,8 @@ void FleetClient::AttemptRead(std::shared_ptr<Op> op) {
     if (op->done || generation != op->generation) return;
     OnReadReply(op, server, std::move(data), version);
   };
-  if (fleet_->consistency().enabled()) {
-    ClientFor(server)->ReadVersioned(file, op->offset,
-                                     options_.request_bytes,
-                                     std::move(handle), op->flags);
-  } else {
-    ClientFor(server)->Read(
-        file, op->offset, options_.request_bytes,
-        [handle = std::move(handle)](Result<Buffer> data) {
-          handle(std::move(data), 0);
-        },
-        op->flags);
-  }
+  ClientFor(server)->Read(file, op->offset, options_.request_bytes,
+                          std::move(handle), op->flags);
   if (options_.retry_timeout > 0) {
     // Clients live until the fleet run drains; the shared op +
     // generation guard makes a late timer a no-op.
@@ -293,8 +286,8 @@ void FleetClient::RepairReplica(netsub::NodeId node, uint64_t offset,
     return;
   }
   fleet_->NoteRpcIssued(node);
-  ClientFor(node)->WriteVersioned(
-      fleet_->shard_file(index), offset, version, data,
+  ClientFor(node)->Write(
+      fleet_->shard_file(index), offset, data,
       [this, node, index, offset](Status s) {
         fleet_->NoteRpcDone(node);
         fleet_->consistency().EndRepair(index, offset);
@@ -304,7 +297,8 @@ void FleetClient::RepairReplica(netsub::NodeId node, uint64_t offset,
                            sim::AccessKind::kCommutativeWrite);
           ++stats_.read_repairs;
         }
-      });
+      },
+      se::kRequestFlagVersioned, version);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,14 +376,8 @@ void FleetClient::AttemptWriteSub(std::shared_ptr<Op> op,
     ++stats_.write_retries;
     AttemptWriteSub(op, sub_index);
   };
-  if (fleet_->consistency().enabled()) {
-    ClientFor(server)->WriteVersioned(file, op->offset, op->version,
-                                      op->payload, std::move(cb),
-                                      op->flags);
-  } else {
-    ClientFor(server)->Write(file, op->offset, op->payload, std::move(cb),
-                             op->flags);
-  }
+  ClientFor(server)->Write(file, op->offset, op->payload, std::move(cb),
+                           op->flags, op->version);
   if (options_.retry_timeout > 0) {
     // Clients live until the fleet run drains; the shared op +
     // generation guard makes a late timer a no-op.

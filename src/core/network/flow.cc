@@ -2,6 +2,28 @@
 
 namespace dpdpu::ne {
 
+void SendFrame(NeSocket* socket, ByteSpan message) {
+  Buffer framed;
+  framed.AppendU32(static_cast<uint32_t>(message.size()));
+  framed.Append(message);
+  socket->Send(framed.span());
+}
+
+bool FrameReader::Next(ByteSpan* frame) {
+  ByteReader r(pending_.span().subspan(consumed_));
+  uint32_t len;
+  if (r.ReadU32(&len) && r.ReadSpan(len, frame)) {
+    consumed_ += 4 + len;
+    return true;
+  }
+  if (consumed_ > 0) {
+    pending_ =
+        Buffer(pending_.data() + consumed_, pending_.size() - consumed_);
+    consumed_ = 0;
+  }
+  return false;
+}
+
 void FlowWriter::Push(ByteSpan record) {
   DPDPU_SIM_ACCESS(race_tag_, "FlowWriter", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
@@ -22,26 +44,14 @@ void FlowWriter::Flush() {
 
 FlowReader::FlowReader(NeSocket* socket, RecordCallback on_record)
     : on_record_(std::move(on_record)) {
-  socket->SetReceiveCallback([this](ByteSpan data) { OnBytes(data); });
-}
-
-void FlowReader::OnBytes(ByteSpan data) {
-  pending_.Append(data);
-  size_t consumed = 0;
-  for (;;) {
-    ByteReader r(pending_.span().subspan(consumed));
-    uint32_t len;
-    if (!r.ReadU32(&len)) break;
+  socket->SetReceiveCallback([this](ByteSpan data) {
+    frames_.Append(data);
     ByteSpan record;
-    if (!r.ReadSpan(len, &record)) break;
-    ++records_;
-    on_record_(record);
-    consumed += 4 + len;
-  }
-  if (consumed > 0) {
-    pending_ = Buffer(pending_.data() + consumed,
-                      pending_.size() - consumed);
-  }
+    while (frames_.Next(&record)) {
+      ++records_;
+      on_record_(record);
+    }
+  });
 }
 
 }  // namespace dpdpu::ne

@@ -3,7 +3,8 @@
 // still send records to remote machines using the flow interface").
 // Records are length-framed, batched on the host side, and carried over
 // an NE socket — so the host pays ring-submit costs while the DPU runs
-// the protocol.
+// the protocol. The framing (SendFrame/FrameReader) is also the remote
+// storage RPC's.
 
 #ifndef DPDPU_CORE_NETWORK_FLOW_H_
 #define DPDPU_CORE_NETWORK_FLOW_H_
@@ -15,6 +16,26 @@
 #include "core/network/network_engine.h"
 
 namespace dpdpu::ne {
+
+/// Sends `message` as one frame: a u32 little-endian length, then the
+/// bytes.
+void SendFrame(NeSocket* socket, ByteSpan message);
+
+/// Reassembles frames from a byte stream: Append what arrived, then
+/// take each complete frame with Next.
+class FrameReader {
+ public:
+  void Append(ByteSpan data) { pending_.Append(data); }
+
+  /// Sets `frame` to the next complete frame, valid until the next call
+  /// on this reader. Returns false when none is left, keeping only a
+  /// trailing partial frame.
+  bool Next(ByteSpan* frame);
+
+ private:
+  Buffer pending_;
+  size_t consumed_ = 0;  // bytes of pending_ already handed out
+};
 
 /// Sending half: batches records and pushes them through the NE.
 class FlowWriter {
@@ -53,9 +74,7 @@ class FlowReader {
   uint64_t records_received() const { return records_; }
 
  private:
-  void OnBytes(ByteSpan data);
-
-  Buffer pending_;
+  FrameReader frames_;
   RecordCallback on_record_;
   uint64_t records_ = 0;
 };

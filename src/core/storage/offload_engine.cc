@@ -17,37 +17,20 @@ void OffloadEngine::Execute(RemoteRequest request, ReplyFn reply) {
         if (udf_) {
           Result<RemoteRequest> translated = udf_(request);
           if (!translated.ok()) {
-            RemoteResponse resp;
-            resp.tag = request.tag;
-            resp.ok = false;
-            reply(EncodeRemoteResponse(resp));
+            reply(translated.status());
             return;
           }
           request = std::move(translated).value();
         }
-        uint64_t tag = request.tag;
         switch (request.op) {
           case RemoteOp::kRead:
-            files_->ReadAsync(
-                request.file, request.offset, request.length,
-                [tag, reply = std::move(reply)](Result<Buffer> data) {
-                  RemoteResponse resp;
-                  resp.tag = tag;
-                  resp.ok = data.ok();
-                  if (data.ok()) resp.data = std::move(data).value();
-                  reply(EncodeRemoteResponse(resp));
-                });
+            files_->ReadAsync(request.file, request.offset, request.length,
+                              std::move(reply));
             break;
           case RemoteOp::kWrite:
-            files_->WriteAsync(
-                request.file, request.offset, std::move(request.data),
-                persist_mode_,
-                [tag, reply = std::move(reply)](Status s) {
-                  RemoteResponse resp;
-                  resp.tag = tag;
-                  resp.ok = s.ok();
-                  reply(EncodeRemoteResponse(resp));
-                });
+            files_->WriteAsync(request.file, request.offset,
+                               std::move(request.data), persist_mode_,
+                               AckWrite(std::move(reply)));
             break;
         }
       });

@@ -62,6 +62,9 @@ Result<RemoteRequest> ParseRemoteRequest(ByteSpan payload) {
 namespace {
 constexpr uint8_t kResponseFlagOk = 1;
 constexpr uint8_t kResponseFlagHasVersion = 2;
+/// Unversioned response header: tag, flags, data length.
+constexpr size_t kResponseHeaderBytes = 8 + 1 + 4;
+constexpr char kRequestFailed[] = "remote request failed";
 }  // namespace
 
 Buffer EncodeRemoteResponse(const RemoteResponse& response) {
@@ -96,6 +99,16 @@ Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload) {
     return Status::Corruption("remote response: truncated payload");
   }
   return response;
+}
+
+FileService::WriteCallback AckWrite(ReplyFn reply) {
+  return [reply = std::move(reply)](Status s) {
+    if (s.ok()) {
+      reply(Buffer());
+    } else {
+      reply(std::move(s));
+    }
+  };
 }
 
 // ---------------------------------------------------------------------------
@@ -291,51 +304,6 @@ void HostFileClient::Write(fssub::FileId file, uint64_t offset, Buffer data,
 }
 
 // ---------------------------------------------------------------------------
-// RequestFramer: per-connection length-framed message handling.
-// ---------------------------------------------------------------------------
-
-class RequestFramer {
- public:
-  using MessageHandler = std::function<void(ByteSpan)>;
-
-  explicit RequestFramer(ne::NeSocket* socket) : socket_(socket) {
-    socket_->SetReceiveCallback([this](ByteSpan data) { OnBytes(data); });
-  }
-
-  void SetHandler(MessageHandler handler) { handler_ = std::move(handler); }
-
-  void Reply(ByteSpan message) {
-    Buffer framed;
-    framed.AppendU32(static_cast<uint32_t>(message.size()));
-    framed.Append(message);
-    socket_->Send(framed.span());
-  }
-
- private:
-  void OnBytes(ByteSpan data) {
-    pending_.Append(data);
-    size_t consumed = 0;
-    for (;;) {
-      ByteReader r(pending_.span().subspan(consumed));
-      uint32_t len;
-      if (!r.ReadU32(&len)) break;
-      ByteSpan message;
-      if (!r.ReadSpan(len, &message)) break;
-      if (handler_) handler_(message);
-      consumed += 4 + len;
-    }
-    if (consumed > 0) {
-      pending_ =
-          Buffer(pending_.data() + consumed, pending_.size() - consumed);
-    }
-  }
-
-  ne::NeSocket* socket_;
-  MessageHandler handler_;
-  Buffer pending_;
-};
-
-// ---------------------------------------------------------------------------
 // StorageEngine.
 // ---------------------------------------------------------------------------
 
@@ -350,78 +318,69 @@ StorageEngine::StorageEngine(hw::Server* server, ne::NetworkEngine* network,
   offload_->SetPersistMode(options.persist_mode);
 }
 
-StorageEngine::~StorageEngine() = default;
-
 void StorageEngine::Serve() {
   network_->Listen(options_.listen_port, [this](ne::NeSocket* socket) {
     // The server endpoint is the DPU itself: requests are classified and
     // (when offloadable) served without a host crossing (Figure 8).
     socket->SetLanding(ne::SocketLanding::kDpu);
-    auto framer = std::make_unique<RequestFramer>(socket);
-    RequestFramer* raw = framer.get();
-    raw->SetHandler([this, raw](ByteSpan message) {
-      Result<RemoteRequest> request = ParseRemoteRequest(message);
-      if (!request.ok()) return;  // malformed request: drop
-      HandleRequest(std::move(request).value(), [raw](Buffer response) {
-        raw->Reply(response.span());
-      });
-    });
-    framers_.push_back(std::move(framer));
+    socket->SetReceiveCallback(
+        [this, socket, frames = ne::FrameReader()](ByteSpan data) mutable {
+          frames.Append(data);
+          ByteSpan message;
+          while (frames.Next(&message)) {
+            Result<RemoteRequest> request = ParseRemoteRequest(message);
+            // A malformed request is dropped; the connection stays up.
+            if (request.ok()) {
+              HandleRequest(std::move(request).value(), socket);
+            }
+          }
+        });
   });
 }
 
 void StorageEngine::HandleRequest(RemoteRequest request,
-                                  std::function<void(Buffer)> reply) {
-  if (request.flags & kRequestFlagVersioned) {
-    if (request.op == RemoteOp::kWrite) {
-      // Admit through the version map on the DPU-side path. A stale
-      // version (a hint replay or retried write racing a newer write to
-      // the same block) is acknowledged without being applied —
-      // last-writer-wins keeps catch-up idempotent.
-      if (!versions_.Admit(request.file, request.offset,
-                           static_cast<uint32_t>(request.data.size()),
-                           request.version)) {
-        RemoteResponse resp;
-        resp.tag = request.tag;
-        resp.ok = true;
-        resp.has_version = true;
-        resp.version = versions_.Lookup(request.file, request.offset);
-        reply(EncodeRemoteResponse(resp));
-        return;
-      }
+                                  ne::NeSocket* socket) {
+  bool versioned = (request.flags & kRequestFlagVersioned) != 0;
+  // Admit versioned writes through the version map on the DPU-side
+  // path. A stale version (a hint replay or retried write racing a
+  // newer write to the same block) is acknowledged with the stored
+  // version without being applied — last-writer-wins keeps catch-up
+  // idempotent.
+  if (versioned && request.op == RemoteOp::kWrite &&
+      !versions_.Admit(request.file, request.offset,
+                       static_cast<uint32_t>(request.data.size()),
+                       request.version)) {
+    RemoteResponse stale;
+    stale.tag = request.tag;
+    stale.has_version = true;
+    stale.version = versions_.Lookup(request.file, request.offset);
+    ne::SendFrame(socket, EncodeRemoteResponse(stale).span());
+    return;
+  }
+  // Every other response is encoded here, once, when the DPU or host
+  // path replies.
+  ReplyFn reply = [this, socket, tag = request.tag, versioned,
+                   op = request.op, file = request.file,
+                   offset = request.offset,
+                   version = request.version](Result<Buffer> result) {
+    RemoteResponse resp;
+    resp.tag = tag;
+    resp.ok = result.ok();
+    if (result.ok()) resp.data = std::move(result).value();
+    if (versioned && op == RemoteOp::kWrite) {
       // The version becomes read-visible only once the data write has
       // completed (the reply fires after the write-through) — a read
       // racing the in-flight write must see the old version, or it
       // would trust a block whose content hasn't landed.
-      uint64_t version = request.version;
-      fssub::FileId wfile = request.file;
-      uint64_t woffset = request.offset;
-      reply = [this, wfile, woffset, version,
-               inner = std::move(reply)](Buffer encoded) {
-        Result<RemoteResponse> resp = ParseRemoteResponse(encoded.span());
-        if (resp.ok() && resp->ok) {
-          versions_.MarkDurable(wfile, woffset, version);
-        }
-        inner(std::move(encoded));
-      };
-    } else {
+      if (resp.ok) versions_.MarkDurable(file, offset, version);
+    } else if (versioned) {
       // Stamp the stored block version onto the read response so the
       // client can detect a stale replica (read-repair backstop).
-      fssub::FileId file = request.file;
-      uint64_t offset = request.offset;
-      reply = [this, file, offset,
-               inner = std::move(reply)](Buffer encoded) {
-        Result<RemoteResponse> resp = ParseRemoteResponse(encoded.span());
-        if (!resp.ok()) {
-          inner(std::move(encoded));
-          return;
-        }
-        resp->has_version = true;
-        resp->version = versions_.Lookup(file, offset);
-        inner(EncodeRemoteResponse(*resp));
-      };
+      resp.has_version = true;
+      resp.version = versions_.Lookup(file, offset);
     }
-  }
+    ne::SendFrame(socket, EncodeRemoteResponse(resp).span());
+  };
   TrafficDirector::Route route = director_->Classify(request);
   if (route == TrafficDirector::Route::kDpu) {
     offload_->Execute(std::move(request), std::move(reply));
@@ -430,8 +389,7 @@ void StorageEngine::HandleRequest(RemoteRequest request,
   }
 }
 
-void StorageEngine::HostFallback(RemoteRequest request,
-                                 std::function<void(Buffer)> reply) {
+void StorageEngine::HostFallback(RemoteRequest request, ReplyFn reply) {
   if (host_handler_) {
     // The request crosses PCIe to the host application first.
     server_->pcie().Dma(
@@ -453,37 +411,27 @@ void StorageEngine::HostFallback(RemoteRequest request,
                 cal::kLinuxStorageStackCyclesPerIo),
             [this, request = std::move(request),
              reply = std::move(reply)]() mutable {
-              uint64_t tag = request.tag;
               // Host-processed results cross PCIe again on the way back
               // to the NIC — the extra round trips Figure 8 highlights.
-              auto respond = [this, reply = std::move(reply),
-                              tag](Result<Buffer> data) mutable {
-                RemoteResponse resp;
-                resp.tag = tag;
-                resp.ok = data.ok();
-                if (data.ok()) resp.data = std::move(data).value();
-                Buffer encoded = EncodeRemoteResponse(resp);
-                size_t bytes = encoded.size();
+              // The DMA moves the unversioned response.
+              ReplyFn respond = [this, reply = std::move(reply)](
+                                    Result<Buffer> data) mutable {
+                size_t bytes =
+                    kResponseHeaderBytes + (data.ok() ? data->size() : 0);
                 server_->pcie().Dma(
                     bytes, [reply = std::move(reply),
-                            encoded = std::move(encoded)]() mutable {
-                      reply(std::move(encoded));
+                            data = std::move(data)]() mutable {
+                      reply(std::move(data));
                     });
               };
               if (request.op == RemoteOp::kRead) {
                 files_->ReadAsync(request.file, request.offset,
                                   request.length, std::move(respond));
               } else {
-                files_->WriteAsync(
-                    request.file, request.offset, std::move(request.data),
-                    PersistMode::kWriteThrough,
-                    [respond = std::move(respond)](Status s) mutable {
-                      if (s.ok()) {
-                        respond(Buffer());
-                      } else {
-                        respond(std::move(s));
-                      }
-                    });
+                files_->WriteAsync(request.file, request.offset,
+                                   std::move(request.data),
+                                   PersistMode::kWriteThrough,
+                                   AckWrite(std::move(respond)));
               }
             });
       });
@@ -528,162 +476,88 @@ void RemoteStorageClient::FailAllPending() {
   // Tag order (std::map) keeps the failure dispatch deterministic. The
   // callbacks may re-enter and destroy this client; only locals are
   // touched from here on.
-  for (auto& [tag, cb] : pending) {
-    RemoteResponse resp;
-    resp.tag = tag;
-    resp.ok = false;
-    cb(std::move(resp));
-  }
-}
-
-void RemoteStorageClient::SendRequest(RemoteRequest request) {
-  if (closed_) {
-    // The connection is gone; fail this request from a fresh event the
-    // same way the close path fails in-flight ones.
-    uint64_t tag = request.tag;
-    // The alive token guards `this`; zero delay is the point (fail from
-    // a fresh event, like the close path) and the parent edge keeps the
-    // deferred event causally ordered.
-    // simlint:allow(R6): alive-token-guarded, parent-edge-ordered defer
-    sim_->Schedule(0, [this, alive = alive_, tag] {
-      if (!*alive) return;
-      DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                       sim::AccessKind::kCommutativeWrite);
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      auto cb = std::move(it->second);
-      pending_.erase(it);
-      RemoteResponse resp;
-      resp.tag = tag;
-      resp.ok = false;
-      cb(std::move(resp));
-    });
-    return;
-  }
-  Buffer payload = EncodeRemoteRequest(request);
-  Buffer framed;
-  framed.AppendU32(static_cast<uint32_t>(payload.size()));
-  framed.Append(payload.span());
-  socket_->Send(framed.span());
+  for (auto& [tag, cb] : pending) cb(Status::IoError(kRequestFailed), 0);
 }
 
 void RemoteStorageClient::Read(fssub::FileId file, uint64_t offset,
-                               uint32_t length,
-                               std::function<void(Result<Buffer>)> cb,
+                               uint32_t length, ReadCallback cb,
                                uint8_t flags) {
+  RemoteRequest request;
+  request.op = RemoteOp::kRead;
+  request.file = file;
+  request.offset = offset;
+  request.length = length;
+  request.flags = flags;
+  Call(std::move(request), std::move(cb));
+}
+
+void RemoteStorageClient::Write(fssub::FileId file, uint64_t offset,
+                                Buffer data, std::function<void(Status)> cb,
+                                uint8_t flags, uint64_t version) {
+  RemoteRequest request;
+  request.op = RemoteOp::kWrite;
+  request.file = file;
+  request.offset = offset;
+  request.data = std::move(data);
+  request.flags = flags;
+  request.version = version;
+  Call(std::move(request),
+       [cb = std::move(cb)](Result<Buffer> ack, uint64_t) {
+         cb(ack.status());
+       });
+}
+
+void RemoteStorageClient::Call(RemoteRequest request, ReadCallback done) {
   // Issue and completion both touch next_tag_/pending_ (see the tag's
   // header comment); distinct-tag table motion commutes.
   DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
   request.tag = next_tag_++;
-  request.op = RemoteOp::kRead;
-  request.file = file;
-  request.offset = offset;
-  request.length = length;
-  request.flags = flags;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    if (resp.ok) {
-      cb(std::move(resp.data));
-    } else {
-      cb(Status::IoError("remote read failed"));
-    }
-  };
-  SendRequest(std::move(request));
-}
-
-void RemoteStorageClient::Write(fssub::FileId file, uint64_t offset,
-                                Buffer data,
-                                std::function<void(Status)> cb,
-                                uint8_t flags) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kWrite;
-  request.file = file;
-  request.offset = offset;
-  request.data = std::move(data);
-  request.flags = flags;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    cb(resp.ok ? Status::Ok() : Status::IoError("remote write failed"));
-  };
-  SendRequest(std::move(request));
-}
-
-void RemoteStorageClient::ReadVersioned(
-    fssub::FileId file, uint64_t offset, uint32_t length,
-    std::function<void(Result<Buffer>, uint64_t)> cb, uint8_t flags) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kRead;
-  request.file = file;
-  request.offset = offset;
-  request.length = length;
-  request.flags = flags | kRequestFlagVersioned;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    if (resp.ok) {
-      cb(std::move(resp.data), resp.version);
-    } else {
-      cb(Status::Unavailable("remote read failed"), 0);
-    }
-  };
-  SendRequest(std::move(request));
-}
-
-void RemoteStorageClient::WriteVersioned(fssub::FileId file, uint64_t offset,
-                                         uint64_t version, Buffer data,
-                                         std::function<void(Status)> cb,
-                                         uint8_t flags) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kWrite;
-  request.file = file;
-  request.offset = offset;
-  request.data = std::move(data);
-  request.flags = flags | kRequestFlagVersioned;
-  request.version = version;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    cb(resp.ok ? Status::Ok()
-               : Status::Unavailable("remote write failed"));
-  };
-  SendRequest(std::move(request));
+  pending_[request.tag] = std::move(done);
+  if (!closed_) {
+    ne::SendFrame(socket_, EncodeRemoteRequest(request).span());
+    return;
+  }
+  // The connection is gone; fail this request from a fresh event the
+  // same way the close path fails in-flight ones. The alive token
+  // guards `this`; zero delay is the point and the parent edge keeps
+  // the deferred event causally ordered.
+  // simlint:allow(R6): alive-token-guarded, parent-edge-ordered defer
+  sim_->Schedule(0, [this, alive = alive_, tag = request.tag] {
+    if (!*alive) return;
+    DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
+                     sim::AccessKind::kCommutativeWrite);
+    auto it = pending_.find(tag);
+    if (it == pending_.end()) return;
+    auto cb = std::move(it->second);
+    pending_.erase(it);
+    cb(Status::IoError(kRequestFailed), 0);
+  });
 }
 
 void RemoteStorageClient::OnResponse(ByteSpan data) {
   DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
   auto alive = alive_;
-  rx_pending_.Append(data);
-  size_t consumed = 0;
-  for (;;) {
-    ByteReader r(rx_pending_.span().subspan(consumed));
-    uint32_t len;
-    if (!r.ReadU32(&len)) break;
-    ByteSpan message;
-    if (!r.ReadSpan(len, &message)) break;
+  frames_.Append(data);
+  ByteSpan message;
+  while (frames_.Next(&message)) {
     Result<RemoteResponse> resp = ParseRemoteResponse(message);
-    consumed += 4 + len;
     if (!resp.ok()) continue;
     auto it = pending_.find(resp->tag);
-    if (it != pending_.end()) {
-      auto cb = std::move(it->second);
-      pending_.erase(it);
-      cb(std::move(resp).value());
-      // Destroying the callback may drop the owner's last reference to
-      // this client (e.g. a catch-up job completing from inside its own
-      // response); stop touching members if so.
-      cb = nullptr;
-      if (!*alive) return;
+    if (it == pending_.end()) continue;
+    auto cb = std::move(it->second);
+    pending_.erase(it);
+    if (resp->ok) {
+      cb(std::move(resp->data), resp->version);
+    } else {
+      cb(Status::IoError(kRequestFailed), 0);
     }
-  }
-  if (consumed > 0) {
-    rx_pending_ = Buffer(rx_pending_.data() + consumed,
-                         rx_pending_.size() - consumed);
+    // Destroying the callback may drop the owner's last reference to
+    // this client (e.g. a catch-up job completing from inside its own
+    // response); stop touching members if so.
+    cb = nullptr;
+    if (!*alive) return;
   }
 }
 

@@ -25,6 +25,7 @@
 
 #include "common/buffer.h"
 #include "common/result.h"
+#include "core/network/flow.h"
 #include "core/network/network_engine.h"
 #include "sim/simrace.h"
 #include "core/storage/file_service.h"
@@ -77,6 +78,15 @@ struct RemoteResponse {
 
 Buffer EncodeRemoteResponse(const RemoteResponse& response);
 Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload);
+
+/// Server-side reply continuation: the response payload (read data, or
+/// empty for a write ack) or the failure. Only StorageEngine turns it
+/// into a wire response (tag, version, encoding).
+using ReplyFn = std::function<void(Result<Buffer>)>;
+
+/// Adapts a reply to a write completion: success acks with an empty
+/// payload, a failed Status fails the request.
+FileService::WriteCallback AckWrite(ReplyFn reply);
 
 // ---------------------------------------------------------------------------
 // Version map (replica consistency).
@@ -170,7 +180,6 @@ class TrafficDirector {
 class OffloadEngine {
  public:
   using Udf = std::function<Result<RemoteRequest>(const RemoteRequest&)>;
-  using ReplyFn = std::function<void(Buffer)>;
 
   OffloadEngine(hw::Server* server, FileService* files)
       : server_(server), files_(files) {}
@@ -262,13 +271,12 @@ struct StorageEngineOptions {
 class StorageEngine {
  public:
   /// Fires when a request routed to the host completes its host-side
-  /// processing; the handler produces the response payload.
-  using HostHandler =
-      std::function<void(RemoteRequest, std::function<void(Buffer)>)>;
+  /// processing; the handler replies with the response payload or the
+  /// failure.
+  using HostHandler = std::function<void(RemoteRequest, ReplyFn)>;
 
   StorageEngine(hw::Server* server, ne::NetworkEngine* network,
                 fssub::DpuFs* fs, StorageEngineOptions options = {});
-  ~StorageEngine();  // out of line: RequestFramer is incomplete here
 
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
@@ -292,10 +300,8 @@ class StorageEngine {
   const VersionMap& versions() const { return versions_; }
 
  private:
-  void HandleRequest(RemoteRequest request,
-                     std::function<void(Buffer)> reply);
-  void HostFallback(RemoteRequest request,
-                    std::function<void(Buffer)> reply);
+  void HandleRequest(RemoteRequest request, ne::NeSocket* socket);
+  void HostFallback(RemoteRequest request, ReplyFn reply);
 
   hw::Server* server_;
   ne::NetworkEngine* network_;
@@ -306,56 +312,56 @@ class StorageEngine {
   std::unique_ptr<OffloadEngine> offload_;
   HostHandler host_handler_;
   VersionMap versions_;
-  std::vector<std::unique_ptr<class RequestFramer>> framers_;
 };
 
 /// Compute-node client for the remote storage protocol.
+/// Every failed request (a server error or a closed connection) completes
+/// with the same IoError status.
 class RemoteStorageClient {
  public:
+  /// Read completion: the data and the block version the server served.
+  /// The version is 0 unless the request carried kRequestFlagVersioned,
+  /// the block was versioned-written, and the read succeeded.
+  using ReadCallback = std::function<void(Result<Buffer>, uint64_t)>;
+
   RemoteStorageClient(ne::NetworkEngine* network, netsub::NodeId server,
                       uint16_t port);
   ~RemoteStorageClient();
 
   void Read(fssub::FileId file, uint64_t offset, uint32_t length,
-            std::function<void(Result<Buffer>)> cb, uint8_t flags = 0);
+            ReadCallback cb, uint8_t flags = 0);
+
+  /// With kRequestFlagVersioned in `flags` the server records `version`
+  /// in its VersionMap and suppresses the write if it already holds
+  /// something newer; without it `version` is not sent.
   void Write(fssub::FileId file, uint64_t offset, Buffer data,
-             std::function<void(Status)> cb, uint8_t flags = 0);
-
-  /// Versioned read: the callback additionally receives the server's
-  /// stored version for the block (0 when never versioned-written, or
-  /// on failure).
-  void ReadVersioned(fssub::FileId file, uint64_t offset, uint32_t length,
-                     std::function<void(Result<Buffer>, uint64_t)> cb,
-                     uint8_t flags = 0);
-
-  /// Versioned write: the server records `version` in its VersionMap
-  /// and suppresses the write if it already holds something newer.
-  void WriteVersioned(fssub::FileId file, uint64_t offset, uint64_t version,
-                      Buffer data, std::function<void(Status)> cb,
-                      uint8_t flags = 0);
+             std::function<void(Status)> cb, uint8_t flags = 0,
+             uint64_t version = 0);
 
   uint64_t requests_outstanding() const { return pending_.size(); }
 
   /// True once the underlying connection closed or aborted (e.g. the
   /// MiniTCP retransmission cap fired against a dark node). All pending
-  /// requests fail with Unavailable; callers should open a fresh client.
+  /// requests fail; callers should open a fresh client.
   bool closed() const { return closed_; }
 
  private:
-  void SendRequest(RemoteRequest request);
-  void OnResponse(ByteSpan payload);
+  /// The one request path: assigns the tag, then sends (or fails the
+  /// request from a fresh event once the connection is closed).
+  void Call(RemoteRequest request, ReadCallback done);
+  void OnResponse(ByteSpan data);
   void FailAllPending();
 
   sim::Simulator* sim_;
   ne::NeSocket* socket_;
-  Buffer rx_pending_;
+  ne::FrameReader frames_;
   uint64_t next_tag_ = 1;
   bool closed_ = false;
   /// Liveness guard for the deferred close dispatch (the failure
   /// callbacks run from a fresh event so callers may safely destroy
   /// this client from within them).
   std::shared_ptr<bool> alive_;
-  std::map<uint64_t, std::function<void(RemoteResponse)>> pending_;
+  std::map<uint64_t, ReadCallback> pending_;
   /// Tag issue (caller events) and completion (socket receive events)
   /// both touch next_tag_/pending_; tags key the table so insert/erase
   /// of distinct requests commute, and a tag's erase is HB-after its

@@ -150,7 +150,6 @@ RunRecord Explorer::Run(const Plan& plan) {
     ro.fatal = false;
     ro.quiet = true;
     ro.max_reports = options_.max_race_reports;
-    ro.single_report_per_key = options_.single_report_per_key;
     rc = &sim.EnableRaceCheck(ro);
   } else {
     sim.DisableRaceCheck();  // env/Debug auto-enablement would abort

@@ -112,12 +112,6 @@ struct ExploreOptions {
   bool race_check = true;
   bool race_is_failure = true;
   uint32_t max_race_reports = 64;
-  /// Legacy simrace reporting (one race per (object, key) per run)
-  /// instead of the default multi-report deduped on (object,
-  /// event-pair). Multi-report hands DPOR the full persistent set of a
-  /// hot object in one run; the legacy mode exists only so
-  /// tests/simex_oracle.cc can measure the visibility gap.
-  bool single_report_per_key = false;
   /// Compare metric lines against the reference schedule (only for runs
   /// whose component picks match the reference's, since different fault
   /// injections legitimately change metrics).

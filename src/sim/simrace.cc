@@ -167,46 +167,23 @@ void RaceChecker::FlushBucket() {
              accesses_[hi].key == accesses_[lo].key) {
         ++hi;
       }
-      auto group_key = std::make_pair(accesses_[lo].object, accesses_[lo].key);
-      if (options_.single_report_per_key) {
-        // Legacy policy: first conflicting unordered pair wins, one
-        // report per (object, key) for the whole run. Kept only so the
-        // oracle can demonstrate the DPOR-visibility gap it causes.
-        if (reported_keys_.find(group_key) == reported_keys_.end()) {
-          bool raced = false;
-          for (size_t j = lo; j + 1 < hi && !raced; ++j) {
-            for (size_t k = j + 1; k < hi; ++k) {
-              const Access& a = accesses_[j];
-              const Access& b = accesses_[k];
-              if (a.event == b.event) continue;
-              if (!Conflicts(a.kind, b.kind)) continue;
-              if (HappensBefore(a.event, b.event)) continue;
-              ReportRace(a, b);
-              reported_keys_.insert(group_key);
-              raced = true;
-              break;
-            }
+      // Every racing event pair, deduped per run on (object,
+      // event-pair). An exploration branch exists per pair, so aliasing
+      // pairs on one hot object (VersionMap, the consistency authority)
+      // are all reversible from a single run.
+      for (size_t j = lo; j + 1 < hi; ++j) {
+        for (size_t k = j + 1; k < hi; ++k) {
+          const Access& a = accesses_[j];
+          const Access& b = accesses_[k];
+          if (a.event == b.event) continue;
+          if (!Conflicts(a.kind, b.kind)) continue;
+          if (HappensBefore(a.event, b.event)) continue;
+          if (!reported_pairs_
+                   .insert(std::make_tuple(a.object, a.event, b.event))
+                   .second) {
+            continue;
           }
-        }
-      } else {
-        // Multi-report: every racing event pair, deduped per run on
-        // (object, event-pair). An exploration branch exists per pair,
-        // so aliasing pairs on one hot object (VersionMap, the
-        // consistency authority) are all reversible from a single run.
-        for (size_t j = lo; j + 1 < hi; ++j) {
-          for (size_t k = j + 1; k < hi; ++k) {
-            const Access& a = accesses_[j];
-            const Access& b = accesses_[k];
-            if (a.event == b.event) continue;
-            if (!Conflicts(a.kind, b.kind)) continue;
-            if (HappensBefore(a.event, b.event)) continue;
-            if (!reported_pairs_
-                     .insert(std::make_tuple(a.object, a.event, b.event))
-                     .second) {
-              continue;
-            }
-            ReportRace(a, b);
-          }
+          ReportRace(a, b);
         }
       }
       lo = hi;

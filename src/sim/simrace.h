@@ -20,8 +20,7 @@
 //    *event pair* is reported, deduplicated per run on
 //    (object, event-pair) — so hot objects with several aliasing racing
 //    pairs hand simex its full persistent set in one run instead of one
-//    reversal per run (the old one-report-per-(object, key) policy,
-//    kept behind Options::single_report_per_key for A/B measurement).
+//    reversal per run.
 //
 // The checker only observes — it never schedules, reads time, or draws
 // randomness — so enabling it cannot change any simulated metric.
@@ -108,12 +107,6 @@ class RaceChecker {
     bool quiet = false;
     /// Provenance chain depth per side.
     uint32_t max_provenance_depth = 12;
-    /// Legacy reporting policy: at most one race per (object, key) per
-    /// run, first conflicting pair wins. The default (false) reports
-    /// every racing event pair, deduped on (object, event-pair), which
-    /// is what gives DPOR full reversal visibility on hot objects.
-    /// Kept only so tests/simex_oracle.cc can prove the difference.
-    bool single_report_per_key = false;
   };
 
   RaceChecker();  // default Options (GCC rejects `= Options()` here)
@@ -205,8 +198,6 @@ class RaceChecker {
   /// event) per run. Event ids are run-unique, so a pair racing on
   /// several keys of one object still reports once.
   std::set<std::tuple<uint32_t, uint64_t, uint64_t>> reported_pairs_;
-  /// Legacy dedup (Options::single_report_per_key): (object, key).
-  std::set<std::pair<uint32_t, uint64_t>> reported_keys_;
   std::vector<RaceReport> races_;
   uint64_t race_count_ = 0;
   uint64_t accesses_recorded_ = 0;

@@ -20,15 +20,26 @@ namespace {
 // The Section 4 composed flow, parameterized by DPU model: a remote
 // request reads compressed data from SSD, decompresses it on the DPU
 // (ASIC where present, CPU otherwise), and returns the plain bytes.
-class HeterogeneityTest
-    : public ::testing::TestWithParam<hw::DpuSpec (*)()> {};
+// Each case carries a fixed name so its printed parameter (and thus the
+// CTest name gtest_discover_tests derives from it) does not depend on
+// where the spec function happens to load in memory.
+struct DpuPreset {
+  const char* name;
+  hw::DpuSpec (*spec)();
+};
+
+void PrintTo(const DpuPreset& preset, std::ostream* os) {
+  *os << preset.name;
+}
+
+class HeterogeneityTest : public ::testing::TestWithParam<DpuPreset> {};
 
 TEST_P(HeterogeneityTest, ReadDecompressServeWorksOnEveryDpu) {
   sim::Simulator sim;
   netsub::Network net(&sim);
   rt::PlatformOptions so, co;
   so.node = 1;
-  so.server_spec = hw::MakeServerSpec("server", GetParam()());
+  so.server_spec = hw::MakeServerSpec("server", GetParam().spec());
   co.node = 2;
   rt::Platform server(&sim, &net, so);
   rt::Platform client(&sim, &net, co);
@@ -92,9 +103,10 @@ TEST_P(HeterogeneityTest, ReadDecompressServeWorksOnEveryDpu) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDpus, HeterogeneityTest,
-                         ::testing::Values(&hw::BlueField2Spec,
-                                           &hw::BlueField3Spec,
-                                           &hw::IntelIpuLikeSpec));
+                         ::testing::Values(
+                             DpuPreset{"BlueField2", &hw::BlueField2Spec},
+                             DpuPreset{"BlueField3", &hw::BlueField3Spec},
+                             DpuPreset{"IntelIpuLike", &hw::IntelIpuLikeSpec}));
 
 // Compress-encrypt-store, then fetch-decrypt-decompress: a two-platform
 // round trip through all three engines, all kernels on real data.
@@ -139,7 +151,7 @@ TEST(IntegrationTest, CompressEncryptStoreFetchRoundTrip) {
 
   // Fetch and unseal.
   Buffer recovered;
-  rsc.Read(*file, 0, sealed_size, [&](Result<Buffer> sealed) {
+  rsc.Read(*file, 0, sealed_size, [&](Result<Buffer> sealed, uint64_t) {
     ASSERT_TRUE(sealed.ok());
     auto decrypt = client.compute().Invoke(ce::kKernelDecrypt,
                                            std::move(sealed).value(),
@@ -183,7 +195,7 @@ TEST(IntegrationTest, RemoteStorageSurvivesPacketLoss) {
   constexpr int kReads = 50;
   for (int i = 0; i < kReads; ++i) {
     uint64_t offset = uint64_t(i) * 8192;
-    rsc.Read(*file, offset, 8192, [&, offset](Result<Buffer> d) {
+    rsc.Read(*file, offset, 8192, [&, offset](Result<Buffer> d, uint64_t) {
       ASSERT_TRUE(d.ok());
       ASSERT_EQ(d->size(), 8192u);
       EXPECT_EQ(std::memcmp(d->data(), data.data() + offset, 8192), 0);
@@ -224,7 +236,8 @@ TEST(IntegrationTest, SimulationIsDeterministic) {
     EXPECT_TRUE(server.fs().Write(*file, 0, data.span()).ok());
     se::RemoteStorageClient rsc(&client.network(), 1, 9000);
     for (int i = 0; i < 20; ++i) {
-      rsc.Read(*file, uint64_t(i) * 4096, 4096, [](Result<Buffer>) {});
+      rsc.Read(*file, uint64_t(i) * 4096, 4096,
+               [](Result<Buffer>, uint64_t) {});
     }
     sim.Run();
     return std::make_pair(sim.now(), sim.events_executed());

@@ -227,6 +227,87 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   EXPECT_EQ(parsed->data.ToString(), "err");
 }
 
+TEST(ProtocolTest, VersionedRequestRoundTrip) {
+  RemoteRequest request;
+  request.tag = 9;
+  request.op = RemoteOp::kWrite;
+  request.file = 2;
+  request.offset = 8192;
+  request.data = Buffer("v");
+  request.flags = kRequestFlagVersioned | kRequestFlagRequiresHost;
+  request.version = 0x0102030405060708ull;
+  Buffer encoded = EncodeRemoteRequest(request);
+  auto parsed = ParseRemoteRequest(encoded.span());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->tag, 9u);
+  EXPECT_EQ(parsed->flags, request.flags);
+  EXPECT_EQ(parsed->version, request.version);
+  EXPECT_EQ(parsed->file, 2u);
+  EXPECT_EQ(parsed->offset, 8192u);
+  EXPECT_EQ(parsed->data.ToString(), "v");
+}
+
+TEST(ProtocolTest, VersionedResponseRoundTrip) {
+  RemoteResponse resp;
+  resp.tag = 11;
+  resp.data = Buffer("block");
+  resp.has_version = true;
+  resp.version = 42;
+  Buffer encoded = EncodeRemoteResponse(resp);
+  auto parsed = ParseRemoteResponse(encoded.span());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->tag, 11u);
+  EXPECT_TRUE(parsed->ok);
+  EXPECT_TRUE(parsed->has_version);
+  EXPECT_EQ(parsed->version, 42u);
+  EXPECT_EQ(parsed->data.ToString(), "block");
+}
+
+TEST(ProtocolTest, TruncatedVersionIsCorruption) {
+  // Cut each frame in the middle of its version field.
+  RemoteRequest request;
+  request.flags = kRequestFlagVersioned;
+  request.version = 7;
+  Buffer req = EncodeRemoteRequest(request);
+  constexpr size_t kRequestVersionAt = 8 + 1 + 1;  // tag, op, flags
+  EXPECT_TRUE(ParseRemoteRequest(req.span().subspan(0, kRequestVersionAt + 4))
+                  .status()
+                  .IsCorruption());
+
+  RemoteResponse resp;
+  resp.has_version = true;
+  resp.version = 7;
+  Buffer rsp = EncodeRemoteResponse(resp);
+  constexpr size_t kResponseVersionAt = 8 + 1;  // tag, flags
+  EXPECT_TRUE(
+      ParseRemoteResponse(rsp.span().subspan(0, kResponseVersionAt + 4))
+          .status()
+          .IsCorruption());
+}
+
+TEST(ProtocolTest, UnversionedFramesCarryNoVersionBytes) {
+  // The version is on the wire only when the versioned flag is set, so
+  // unversioned traffic keeps the original layout byte for byte.
+  RemoteRequest request;
+  request.op = RemoteOp::kWrite;
+  request.data = Buffer("abc");
+  request.version = 99;  // ignored without kRequestFlagVersioned
+  // tag, op, flags, file, offset, length, data length, data
+  EXPECT_EQ(EncodeRemoteRequest(request).size(),
+            8u + 1 + 1 + 4 + 8 + 4 + 4 + 3);
+  request.flags = kRequestFlagVersioned;
+  EXPECT_EQ(EncodeRemoteRequest(request).size(),
+            8u + 1 + 1 + 8 + 4 + 8 + 4 + 4 + 3);
+
+  RemoteResponse resp;
+  resp.data = Buffer("abc");
+  resp.version = 99;  // ignored without has_version
+  // tag, flags, data length, data
+  EXPECT_EQ(EncodeRemoteResponse(resp).size(), 8u + 1 + 4 + 3);
+  resp.has_version = true;
+  EXPECT_EQ(EncodeRemoteResponse(resp).size(), 8u + 1 + 8 + 4 + 3);
+}
+
 // --------------------------------------------------------------------------
 // Remote serving end to end (two platforms over the fabric).
 // --------------------------------------------------------------------------
@@ -263,7 +344,7 @@ TEST(RemoteStorageTest, ReadRoundTrip) {
   RemoteStorageClient rsc(&f.client->network(), 1, 9000);
   Buffer got;
   int errors = 0;
-  rsc.Read(file, 0, uint32_t(data.size()), [&](Result<Buffer> d) {
+  rsc.Read(file, 0, uint32_t(data.size()), [&](Result<Buffer> d, uint64_t) {
     if (d.ok()) {
       got = std::move(d).value();
     } else {
@@ -292,7 +373,7 @@ TEST(RemoteStorageTest, WriteThenReadBack) {
   ASSERT_TRUE(wrote);
 
   Buffer got;
-  rsc.Read(file, 0, 32 * 1024, [&](Result<Buffer> d) {
+  rsc.Read(file, 0, 32 * 1024, [&](Result<Buffer> d, uint64_t) {
     ASSERT_TRUE(d.ok());
     got = std::move(d).value();
   });
@@ -310,7 +391,7 @@ TEST(RemoteStorageTest, ManyConcurrentRequestsAllComplete) {
   int done = 0;
   for (int i = 0; i < kRequests; ++i) {
     uint64_t offset = uint64_t(i) * 8192;
-    rsc.Read(file, offset, 8192, [&, offset](Result<Buffer> d) {
+    rsc.Read(file, offset, 8192, [&, offset](Result<Buffer> d, uint64_t) {
       ASSERT_TRUE(d.ok());
       ASSERT_EQ(d->size(), 8192u);
       EXPECT_EQ(std::memcmp(d->data(), data.data() + offset, 8192), 0);
@@ -329,7 +410,7 @@ TEST(RemoteStorageTest, FlaggedRequestsRouteToHost) {
 
   Buffer got;
   rsc.Read(file, 0, 8192,
-           [&](Result<Buffer> d) { got = std::move(d).value(); },
+           [&](Result<Buffer> d, uint64_t) { got = std::move(d).value(); },
            kRequestFlagRequiresHost);
   f.sim.Run();
   EXPECT_EQ(got, data);
@@ -349,7 +430,7 @@ TEST(RemoteStorageTest, OffloadKeepsHostIdle) {
   int done = 0;
   for (int i = 0; i < 200; ++i) {
     rsc.Read(file, (uint64_t(i) * 4096) % (1 << 20), 4096,
-             [&](Result<Buffer> d) {
+             [&](Result<Buffer> d, uint64_t) {
                ASSERT_TRUE(d.ok());
                ++done;
              });
@@ -367,18 +448,16 @@ TEST(RemoteStorageTest, CustomHostHandlerReceivesForwards) {
   fssub::FileId file = f.Prepare(Buffer("x").span());
   int host_handled = 0;
   f.server->storage().SetHostHandler(
-      [&](RemoteRequest request, std::function<void(Buffer)> reply) {
+      [&](RemoteRequest, ReplyFn reply) {
         ++host_handled;
-        RemoteResponse resp;
-        resp.tag = request.tag;
-        resp.ok = true;
-        resp.data = Buffer("from-host");
-        reply(EncodeRemoteResponse(resp));
+        reply(Buffer("from-host"));
       });
   RemoteStorageClient rsc(&f.client->network(), 1, 9000);
   Buffer got;
-  rsc.Read(file, 0, 1, [&](Result<Buffer> d) { got = std::move(d).value(); },
-           kRequestFlagRequiresHost);
+  rsc.Read(
+      file, 0, 1,
+      [&](Result<Buffer> d, uint64_t) { got = std::move(d).value(); },
+      kRequestFlagRequiresHost);
   f.sim.Run();
   EXPECT_EQ(host_handled, 1);
   EXPECT_EQ(got.ToString(), "from-host");
@@ -398,7 +477,7 @@ TEST(RemoteStorageTest, UdfTranslatesRequests) {
       });
   RemoteStorageClient rsc(&f.client->network(), 1, 9000);
   Buffer got;
-  rsc.Read(file, 0, 4096, [&](Result<Buffer> d) {
+  rsc.Read(file, 0, 4096, [&](Result<Buffer> d, uint64_t) {
     got = std::move(d).value();
   });
   f.sim.Run();
@@ -468,7 +547,7 @@ TEST(RemoteStorageTest, PartialOffloadSplitMatchesDirectorCounters) {
     uint8_t flags = (i % 10) < 3 ? kRequestFlagRequiresHost : 0;
     flagged += flags ? 1 : 0;
     rsc.Read(file, uint64_t(i) * 2048, 2048,
-             [&](Result<Buffer> d) {
+             [&](Result<Buffer> d, uint64_t) {
                ASSERT_TRUE(d.ok());
                ++done;
              },
@@ -503,11 +582,11 @@ TEST(RemoteStorageTest, UdfFailureProducesErrorResponse) {
   RemoteStorageClient rsc(&f.client->network(), 1, 9000);
 
   bool rejected = false, served = false;
-  rsc.Read(file, 0, 4096, [&](Result<Buffer> d) {
+  rsc.Read(file, 0, 4096, [&](Result<Buffer> d, uint64_t) {
     EXPECT_FALSE(d.ok()) << "UDF rejection must reach the client as !ok";
     rejected = true;
   });
-  rsc.Read(file, 4096, 4096, [&](Result<Buffer> d) {
+  rsc.Read(file, 4096, 4096, [&](Result<Buffer> d, uint64_t) {
     EXPECT_TRUE(d.ok());
     served = true;
   });
@@ -537,7 +616,7 @@ TEST(RemoteStorageTest, OffloadEnginePersistModeAppliesToRemoteWrites) {
       << "offloaded writes must honor the engine's persist mode";
 
   Buffer got;
-  rsc.Read(file, 0, 8192, [&](Result<Buffer> d) {
+  rsc.Read(file, 0, 8192, [&](Result<Buffer> d, uint64_t) {
     got = std::move(d).value();
   });
   f.sim.Run();
@@ -550,20 +629,170 @@ TEST(RemoteStorageTest, ReadBeyondFileFailsCleanly) {
   RemoteStorageClient rsc(&f.client->network(), 1, 9000);
   bool got_short = false;
   // Reads past EOF return the short prefix (empty here).
-  rsc.Read(file, 100, 50, [&](Result<Buffer> d) {
+  rsc.Read(file, 100, 50, [&](Result<Buffer> d, uint64_t) {
     ASSERT_TRUE(d.ok());
     EXPECT_TRUE(d->empty());
     got_short = true;
   });
   // Unknown file id errors.
   bool got_error = false;
-  rsc.Read(999, 0, 10, [&](Result<Buffer> d) {
+  rsc.Read(999, 0, 10, [&](Result<Buffer> d, uint64_t) {
     EXPECT_FALSE(d.ok());
     got_error = true;
   });
   f.sim.Run();
   EXPECT_TRUE(got_short);
   EXPECT_TRUE(got_error);
+}
+
+// --------------------------------------------------------------------------
+// Versioned requests and connection robustness.
+// --------------------------------------------------------------------------
+
+/// Speaks the wire protocol directly, to send frames RemoteStorageClient
+/// never would and to see every response field.
+struct RawConnection {
+  explicit RawConnection(ne::NetworkEngine* network)
+      : socket(network->Connect(1, 9000)) {
+    socket->SetReceiveCallback([this](ByteSpan data) {
+      frames.Append(data);
+      ByteSpan message;
+      while (frames.Next(&message)) {
+        Result<RemoteResponse> resp = ParseRemoteResponse(message);
+        EXPECT_TRUE(resp.ok());
+        if (resp.ok()) responses.push_back(std::move(resp).value());
+      }
+    });
+  }
+
+  void Send(const RemoteRequest& request) {
+    ne::SendFrame(socket, EncodeRemoteRequest(request).span());
+  }
+
+  ne::NeSocket* socket;
+  ne::FrameReader frames;
+  std::vector<RemoteResponse> responses;
+};
+
+RemoteRequest VersionedWrite(uint64_t tag, fssub::FileId file,
+                             uint64_t version, Buffer data) {
+  RemoteRequest request;
+  request.tag = tag;
+  request.op = RemoteOp::kWrite;
+  request.file = file;
+  request.flags = kRequestFlagVersioned;
+  request.version = version;
+  request.data = std::move(data);
+  return request;
+}
+
+TEST(RemoteStorageTest, StaleVersionWriteIsAckedWithStoredVersion) {
+  RemoteFixture f;
+  fssub::FileId file = f.Prepare(Buffer(size_t{4096}).span());
+  Buffer fresh = kern::GenerateRandomBytes(4096, 1);
+  Buffer stale = kern::GenerateRandomBytes(4096, 2);
+  RawConnection raw(&f.client->network());
+  raw.Send(VersionedWrite(1, file, 5, fresh));
+  f.sim.Run();
+  raw.Send(VersionedWrite(2, file, 3, stale));
+  f.sim.Run();
+
+  ASSERT_EQ(raw.responses.size(), 2u);
+  EXPECT_EQ(raw.responses[0].tag, 1u);
+  EXPECT_TRUE(raw.responses[0].ok);
+  EXPECT_FALSE(raw.responses[0].has_version);
+  const RemoteResponse& ack = raw.responses[1];
+  EXPECT_EQ(ack.tag, 2u);
+  EXPECT_TRUE(ack.ok) << "a stale write is acknowledged, not failed";
+  EXPECT_TRUE(ack.has_version);
+  EXPECT_EQ(ack.version, 5u);
+  EXPECT_EQ(f.server->storage().versions().Lookup(file, 0), 5u);
+  auto stored = f.server->fs().Read(file, 0, 4096);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(*stored, fresh) << "the stale write must not be applied";
+  EXPECT_EQ(f.server->storage().file_service().stats().writes, 1u);
+}
+
+TEST(RemoteStorageTest, VersionedReadReturnsDurableVersionOnBothPaths) {
+  RemoteFixture f;
+  fssub::FileId file = f.Prepare(Buffer(size_t{8192}).span());
+  Buffer payload = kern::GenerateRandomBytes(4096, 3);
+  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  bool wrote = false;
+  rsc.Write(
+      file, 4096, payload, [&](Status s) { wrote = s.ok(); },
+      kRequestFlagVersioned, 7);
+  f.sim.Run();
+  ASSERT_TRUE(wrote);
+
+  struct Probe {
+    uint8_t flags;
+    uint64_t want_version;
+  };
+  for (Probe probe : {Probe{kRequestFlagVersioned, 7},
+                      Probe{kRequestFlagVersioned | kRequestFlagRequiresHost,
+                            7},
+                      Probe{0, 0}, Probe{kRequestFlagRequiresHost, 0}}) {
+    SCOPED_TRACE(int(probe.flags));
+    Buffer got;
+    uint64_t version = 99;
+    rsc.Read(
+        file, 4096, 4096,
+        [&](Result<Buffer> d, uint64_t v) {
+          ASSERT_TRUE(d.ok());
+          got = std::move(d).value();
+          version = v;
+        },
+        probe.flags);
+    f.sim.Run();
+    EXPECT_EQ(got, payload);
+    EXPECT_EQ(version, probe.want_version);
+  }
+  EXPECT_EQ(f.server->storage().director().routed_to_host(), 2u);
+  EXPECT_EQ(f.server->storage().director().routed_to_dpu(), 3u);
+}
+
+TEST(RemoteStorageTest, MalformedFrameIsDroppedAndConnectionServes) {
+  RemoteFixture f;
+  Buffer data = kern::GenerateRandomBytes(4096, 4);
+  fssub::FileId file = f.Prepare(data.span());
+  RawConnection raw(&f.client->network());
+  ne::SendFrame(raw.socket, Buffer("not a request").span());
+  RemoteRequest read;
+  read.tag = 42;
+  read.file = file;
+  read.length = 4096;
+  raw.Send(read);
+  f.sim.Run();
+
+  ASSERT_EQ(raw.responses.size(), 1u);
+  EXPECT_EQ(raw.responses[0].tag, 42u);
+  EXPECT_TRUE(raw.responses[0].ok);
+  EXPECT_EQ(raw.responses[0].data, data);
+}
+
+TEST(RemoteStorageTest, ClientDestroyedInsideItsOwnCallback) {
+  // The owner may drop its last reference to the client from inside a
+  // response callback (a catch-up job finishing); the client must stop
+  // touching itself, and later responses must be ignored. Under ASan a
+  // use-after-free here fails the test.
+  RemoteFixture f;
+  Buffer data = kern::GenerateRandomBytes(8192, 5);
+  fssub::FileId file = f.Prepare(data.span());
+  auto rsc =
+      std::make_unique<RemoteStorageClient>(&f.client->network(), 1, 9000);
+  int callbacks = 0;
+  for (int i = 0; i < 4; ++i) {
+    rsc->Read(file, uint64_t(i) * 2048, 2048,
+              [&](Result<Buffer> d, uint64_t) {
+                EXPECT_TRUE(d.ok());
+                ++callbacks;
+                rsc.reset();
+              });
+  }
+  f.sim.Run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(rsc, nullptr);
 }
 
 }  // namespace

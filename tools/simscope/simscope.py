@@ -26,15 +26,10 @@ DPOR. simscope closes that blind spot statically:
      that is statically reachable from a callback context but never
      observed at runtime is dead weight or an untested path (rule S2).
 
-Frontends (--frontend=auto|builtin|clang):
-  * builtin — a dependency-free fuzzy C++ parser built on the shared
-    lintcommon comment/string stripper. This is the tested, CI-gated
-    path; it over-approximates roots (any deferred lambda is a root)
-    and under-approximates coverage only where documented below.
-  * clang — drives `clang -Xclang -ast-dump=json` over every TU in
-    compile_commands.json and lowers the JSON AST into the same facts
-    IR. Exact name resolution, but requires a clang binary; `auto`
-    falls back to builtin when clang is missing.
+The frontend is a dependency-free fuzzy C++ parser built on the shared
+lintcommon comment/string stripper. It over-approximates roots (any
+deferred lambda is a root) and under-approximates coverage only where
+documented below.
 
 Suppressions follow simlint policy exactly (shared via lintcommon):
 inline `// simscope:allow(S1): reason` on the field declaration line
@@ -47,11 +42,8 @@ no longer fires — are themselves violations.
 
 import argparse
 import glob
-import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -101,8 +93,8 @@ Violation = lintcommon.Violation
 
 
 # ---------------------------------------------------------------------------
-# Facts IR — both frontends lower to these records, the analysis below
-# consumes only them.
+# Facts IR — the frontend lowers the tree to these records, the analysis
+# below consumes only them.
 # ---------------------------------------------------------------------------
 
 class Field:
@@ -274,9 +266,8 @@ def _match_bracket(text, open_idx):
 
 
 class BuiltinFrontend:
-    def __init__(self, repo_root, verbose=False):
+    def __init__(self, repo_root):
         self.repo_root = repo_root
-        self.verbose = verbose
         self._next_region = 0
 
     def parse_tree(self, roots, facts):
@@ -836,207 +827,6 @@ class BuiltinFrontend:
 
 
 # ---------------------------------------------------------------------------
-# Clang frontend: lowers `clang -Xclang -ast-dump=json` output into the
-# same facts IR. Exact where the builtin frontend is fuzzy (overload
-# resolution, receiver types), but requires a clang binary. Macros are
-# expanded in the AST, so annotations appear as RecordAccess member
-# calls with a string-literal object argument.
-# ---------------------------------------------------------------------------
-
-class ClangFrontend:
-    WRITE_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
-                 "<<=", ">>="}
-
-    def __init__(self, repo_root, compile_commands, clang="clang",
-                 verbose=False):
-        self.repo_root = repo_root
-        self.compile_commands = compile_commands
-        self.clang = clang
-        self.verbose = verbose
-        self._next_region = 0
-
-    def parse_tree(self, roots, facts):
-        with open(self.compile_commands) as f:
-            commands = json.load(f)
-        prefixes = [os.path.join(self.repo_root, r) for r in roots]
-        for entry in commands:
-            src = os.path.join(entry.get("directory", ""), entry["file"])
-            src = os.path.normpath(src)
-            if not any(src.startswith(p) for p in prefixes):
-                continue
-            self._parse_tu(entry, src, facts)
-
-    def _parse_tu(self, entry, src, facts):
-        argv = entry.get("arguments") or entry["command"].split()
-        args = [a for a in argv[1:]
-                if a.startswith(("-I", "-D", "-std", "-W")) or
-                a in ("-pthread",)]
-        cmd = [self.clang, "-fsyntax-only", "-Xclang", "-ast-dump=json",
-               *args, src]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  cwd=entry.get("directory",
-                                                self.repo_root))
-            tree = json.loads(proc.stdout)
-        except (OSError, json.JSONDecodeError) as e:
-            raise SystemExit(f"simscope: clang frontend failed on "
-                             f"{src}: {e}")
-        self._walk(tree, facts, src, cls=None, region=None, file=[None])
-
-    def _rid(self):
-        self._next_region += 1
-        return self._next_region
-
-    def _loc(self, node, file_state):
-        loc = node.get("loc") or {}
-        sp = loc.get("spellingLoc") or loc
-        if sp.get("file"):
-            file_state[0] = sp["file"]
-        return (file_state[0], sp.get("line", 0))
-
-    def _rel(self, path):
-        if path and os.path.isabs(path):
-            try:
-                return os.path.relpath(path, self.repo_root)
-            except ValueError:
-                return path
-        return path or "<unknown>"
-
-    def _walk(self, node, facts, src, cls, region, file):
-        if not isinstance(node, dict):
-            return
-        kind = node.get("kind", "")
-        path, line = self._loc(node, file)
-        rel = self._rel(path)
-
-        if kind == "CXXRecordDecl" and node.get("completeDefinition"):
-            cname = node.get("name") or cls
-            for child in node.get("inner", []):
-                if child.get("kind") == "FieldDecl":
-                    fpath, fline = self._loc(child, file)
-                    ftype = (child.get("type") or {}).get("qualType", "")
-                    facts.add_field(Field(
-                        cname, child.get("name", ""), self._rel(fpath),
-                        fline, racy="Racy<" in ftype))
-            cls = cname
-        elif kind == "VarDecl" and region is None and cls is None:
-            ftype = (node.get("type") or {}).get("qualType", "")
-            if "const" not in ftype and node.get("name"):
-                facts.add_field(Field("<global>", node["name"], rel, line))
-        elif kind in ("CXXMethodDecl", "FunctionDecl", "CXXConstructorDecl",
-                      "CXXDestructorDecl") and node.get("inner"):
-            has_body = any(c.get("kind") == "CompoundStmt"
-                           for c in node.get("inner", []))
-            if has_body:
-                name = node.get("name", "<anon>")
-                qual = f"{cls}::{name}" if cls else name
-                region = Region(self._rid(), "function", qual, rel, line,
-                                (0, 0), cls=cls)
-                facts.regions.append(region)
-        elif kind == "LambdaExpr":
-            # Rootness is decided by the registration context; the
-            # parent CallExpr handler rewrites root below. Default:
-            # treat as root (over-approximation, same as builtin).
-            region = Region(self._rid(), "lambda",
-                            f"<lambda {rel}:{line}>", rel, line, (0, 0),
-                            cls=cls, root=(rel, line,
-                                           node.get("_callee", "call")))
-            facts.regions.append(region)
-        elif kind == "CallExpr" or kind == "CXXMemberCallExpr":
-            callee = self._callee_name(node)
-            if region is not None and callee:
-                region.calls.append((None, callee))
-            if callee == "RecordAccess":
-                name = self._string_arg(node)
-                if name and region is not None:
-                    region.annotations.append(Annotation(name, rel, line))
-            # Tag lambda arguments with the callee for rootness.
-            for child in node.get("inner", []) or []:
-                for lam in self._find_lambda(child):
-                    lam["_callee"] = callee or "call"
-                    if callee in SYNC_CALLEES:
-                        lam["_sync"] = True
-        elif kind in ("BinaryOperator", "CompoundAssignOperator") and \
-                node.get("opcode") in self.WRITE_OPS:
-            self._record_member_write(node, facts, region, rel, line, file)
-        elif kind == "UnaryOperator" and node.get("opcode") in (
-                "++", "--"):
-            self._record_member_write(node, facts, region, rel, line, file)
-
-        for child in node.get("inner", []) or []:
-            self._walk(child, facts, src, cls, region, file)
-
-    def _find_lambda(self, node, depth=0):
-        if not isinstance(node, dict) or depth > 3:
-            return
-        if node.get("kind") == "LambdaExpr":
-            yield node
-            return
-        for child in node.get("inner", []) or []:
-            yield from self._find_lambda(child, depth + 1)
-
-    def _callee_name(self, node):
-        inner = node.get("inner") or []
-        if not inner:
-            return None
-        head = inner[0]
-        while isinstance(head, dict):
-            if head.get("kind") in ("DeclRefExpr", "MemberExpr"):
-                ref = head.get("referencedDecl") or {}
-                return ref.get("name") or head.get("name")
-            nxt = (head.get("inner") or [None])[0]
-            if nxt is None:
-                return None
-            head = nxt
-        return None
-
-    def _string_arg(self, node):
-        for child in node.get("inner", []) or []:
-            if child.get("kind") == "StringLiteral":
-                v = child.get("value", "")
-                return v.strip('"')
-            found = self._string_arg(child)
-            if found:
-                return found
-        return None
-
-    def _record_member_write(self, node, facts, region, rel, line, file):
-        if region is None:
-            return
-        target = (node.get("inner") or [None])[0]
-        member = self._outer_member(target)
-        if member is None:
-            return
-        cls, name = member
-        if (cls, name) in facts.fields:
-            region.writes.append(Write((cls, name), rel, line,
-                                       f"{cls}::{name}"))
-
-    def _outer_member(self, node):
-        """Outermost MemberExpr on the write target → (class, field)."""
-        while isinstance(node, dict):
-            if node.get("kind") == "MemberExpr":
-                ref = node.get("referencedDecl") or {}
-                name = ref.get("name") or node.get("name", "")
-                qual = (node.get("type") or {}).get("qualType", "")
-                base = (node.get("inner") or [None])[0]
-                cls = None
-                while isinstance(base, dict):
-                    bq = (base.get("type") or {}).get("qualType", "")
-                    m = re.search(r"(\w+)\s*(?:\*|&)?\s*$",
-                                  bq.replace("const", ""))
-                    if m:
-                        cls = m.group(1)
-                        break
-                    base = (base.get("inner") or [None])[0]
-                if name:
-                    return (cls, name.lstrip("~"))
-                return None
-            node = (node.get("inner") or [None])[0]
-        return None
-
-
-# ---------------------------------------------------------------------------
 # Analysis: provenance attribution, coverage closure, findings.
 # ---------------------------------------------------------------------------
 
@@ -1219,22 +1009,6 @@ def validate_rule(rule):
     return None
 
 
-def pick_frontend(choice, repo_root, compile_commands, verbose):
-    if choice == "clang" or (choice == "auto" and shutil.which("clang")
-                             and compile_commands and
-                             os.path.exists(compile_commands)):
-        if not shutil.which("clang"):
-            raise SystemExit("simscope: --frontend=clang but no clang "
-                             "binary on PATH")
-        if not compile_commands or not os.path.exists(compile_commands):
-            raise SystemExit("simscope: clang frontend needs "
-                             "--compile-commands pointing at "
-                             "compile_commands.json")
-        return ClangFrontend(repo_root, compile_commands,
-                             verbose=verbose)
-    return BuiltinFrontend(repo_root, verbose=verbose)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="simrace annotation-coverage analyzer")
@@ -1245,11 +1019,6 @@ def main(argv=None):
     parser.add_argument("--allowlist", default=None,
                         help="allowlist file (default: "
                              f"<repo>/{DEFAULT_ALLOWLIST})")
-    parser.add_argument("--frontend", default="auto",
-                        choices=("auto", "builtin", "clang"))
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json for the clang "
-                             "frontend (default: <repo>/build/...)")
     parser.add_argument("--xcheck", action="store_true",
                         help="cross-check static annotation reachability "
                              "against dynamic coverage dumps (S2)")
@@ -1271,17 +1040,8 @@ def main(argv=None):
         raise SystemExit("simscope: --xcheck needs at least one "
                          "--coverage file")
 
-    compile_commands = args.compile_commands or os.path.join(
-        args.repo_root, "build", "compile_commands.json")
-    frontend = pick_frontend(args.frontend, args.repo_root,
-                             compile_commands, verbose=False)
-
     facts = Facts()
-    if not isinstance(frontend, BuiltinFrontend):
-        # Field declarations (headers) are builtin-scanned even under
-        # clang so both frontends agree on the field universe.
-        BuiltinFrontend(args.repo_root).parse_tree(args.roots, facts)
-    frontend.parse_tree(args.roots, facts)
+    BuiltinFrontend(args.repo_root).parse_tree(args.roots, facts)
     reports, reachable_annotations, covered = analyze(facts)
 
     if args.dump_facts:

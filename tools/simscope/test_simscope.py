@@ -34,8 +34,8 @@ def run_scope(files, extra_args=None, allowlist=""):
         allow_path = os.path.join(tmp, "allow.txt")
         with open(allow_path, "w") as f:
             f.write(allowlist)
-        argv = ["--repo-root", tmp, "--frontend", "builtin",
-                "--allowlist", allow_path, "src"] + (extra_args or [])
+        argv = ["--repo-root", tmp, "--allowlist", allow_path,
+                "src"] + (extra_args or [])
         buf = io.StringIO()
         try:
             with contextlib.redirect_stdout(buf):
