@@ -104,15 +104,24 @@ void BM_HuffmanDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_HuffmanDecode)->Arg(64 << 10)->Arg(1 << 20);
 
+// Arg 1 picks the pattern: a word-suffix scan, or the alternation the
+// ce_offload benchmark and abl_placement count.
+constexpr const char* kRegexBenchPatterns[] = {"[a-z]+tion", "tion|ing"};
+
 void BM_RegexCount(benchmark::State& state) {
   Buffer text = kern::GenerateText(size_t(state.range(0)), {});
-  auto re = kern::Regex::Compile("[a-z]+tion");
+  const char* pattern = kRegexBenchPatterns[state.range(1)];
+  auto re = kern::Regex::Compile(pattern);
   for (auto _ : state) {
     benchmark::DoNotOptimize(re->CountMatches(text.view()));
   }
   state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
+  state.SetLabel(pattern);
 }
-BENCHMARK(BM_RegexCount)->Arg(16 << 10)->Arg(64 << 10);
+BENCHMARK(BM_RegexCount)
+    ->Args({16 << 10, 0})
+    ->Args({64 << 10, 0})
+    ->Args({64 << 10, 1});
 
 void BM_DedupChunk(benchmark::State& state) {
   Buffer data = kern::GenerateText(size_t(state.range(0)), {});

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -13,22 +14,46 @@
 
 namespace dpdpu::kern {
 
+namespace {
+
+// Symbol lookup tables, built once from kLengthBase/kDistBase (zlib's
+// _length_code/_dist_code layout): length symbol minus 257 per match
+// length, and distance symbol for distances 1-256 then per 128-distance
+// band above that.
+struct SymbolTables {
+  uint8_t length[kMaxMatch + 1] = {};
+  uint8_t distance[512] = {};
+
+  constexpr SymbolTables() {
+    for (int code = 0; code < 29; ++code) {
+      int end = code + 1 < 29 ? kLengthBase[code + 1] : kMaxMatch + 1;
+      for (int len = kLengthBase[code]; len < end; ++len) {
+        length[len] = static_cast<uint8_t>(code);
+      }
+    }
+    for (int code = 0; code < 30; ++code) {
+      int end = code + 1 < 30 ? kDistBase[code + 1] : kWindowSize + 1;
+      for (int dist = kDistBase[code]; dist < end; ++dist) {
+        int slot = dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7);
+        distance[slot] = static_cast<uint8_t>(code);
+      }
+    }
+  }
+};
+
+constexpr SymbolTables kSymbolTables;
+
+}  // namespace
+
 int LengthToSymbol(int length) {
   DPDPU_CHECK(length >= kMinMatch && length <= kMaxMatch);
-  // 29 codes; linear scan from the top is fine (encoder caches freqs, the
-  // scan is not the hot path — match search is).
-  for (int i = 28; i >= 0; --i) {
-    if (length >= kLengthBase[i]) return 257 + i;
-  }
-  return 257;
+  return 257 + kSymbolTables.length[length];
 }
 
 int DistanceToSymbol(int distance) {
   DPDPU_CHECK(distance >= 1 && distance <= kWindowSize);
-  for (int i = 29; i >= 0; --i) {
-    if (distance >= kDistBase[i]) return i;
-  }
-  return 0;
+  return kSymbolTables.distance[distance <= 256 ? distance - 1
+                                                : 256 + ((distance - 1) >> 7)];
 }
 
 namespace {
@@ -94,10 +119,15 @@ class MatchFinder {
     size_t limit = pos > kWindowSize ? pos - kWindowSize : 0;
     int max_len =
         static_cast<int>(std::min<size_t>(kMaxMatch, in_.size() - pos));
+    const uint8_t* here = in_.data() + pos;
     int chain = params_.max_chain;
     for (int cand = head_[Hash(pos)];
          cand >= 0 && static_cast<size_t>(cand) >= limit && chain > 0;
          cand = prev_[cand], --chain) {
+      // A candidate that differs at offset best.len cannot beat best
+      // (best.len < max_len here, so the byte is in range).
+      const uint8_t* there = in_.data() + cand;
+      if (there[best.len] != here[best.len]) continue;
       int len = MatchLength(static_cast<size_t>(cand), pos, max_len);
       if (len > best.len) {
         best.len = len;
@@ -164,9 +194,13 @@ void Tokenize(ByteSpan in, MatchParams params, std::vector<Token>* tokens,
               std::vector<uint32_t>* token_pos) {
   MatchFinder finder(in, params);
   size_t pos = 0;
+  // The lazy probe's result, reused as the search at the next position
+  // (no position is inserted in between, so the chains are unchanged).
+  std::optional<MatchFinder::Match> probed;
   while (pos < in.size()) {
     finder.InsertUpTo(pos);
-    MatchFinder::Match m = finder.Find(pos);
+    MatchFinder::Match m = probed ? *probed : finder.Find(pos);
+    probed.reset();
     if (m.len >= kMinMatch && params.lazy && m.len < params.nice_length &&
         pos + 1 < in.size()) {
       // Lazy evaluation: prefer a longer match starting one byte later.
@@ -176,6 +210,7 @@ void Tokenize(ByteSpan in, MatchParams params, std::vector<Token>* tokens,
         tokens->push_back(Token{uint16_t(in[pos]), 0});
         token_pos->push_back(static_cast<uint32_t>(pos));
         ++pos;
+        probed = next;
         continue;
       }
     }
@@ -249,22 +284,19 @@ int ClenExtraBits(uint8_t symbol) {
   return 0;
 }
 
-// Payload size in bits of the token stream under the given code lengths.
-uint64_t PayloadBits(const std::vector<Token>& tokens,
-                     const std::vector<uint8_t>& litlen_lengths,
-                     const std::vector<uint8_t>& dist_lengths) {
+// Huffman-coded bits of a block's symbols (end-of-block included) under
+// the given code lengths; extra bits are counted separately.
+uint64_t CodedBits(const std::vector<uint64_t>& litlen_freq,
+                   const std::vector<uint64_t>& dist_freq,
+                   const std::vector<uint8_t>& litlen_lengths,
+                   const std::vector<uint8_t>& dist_lengths) {
   uint64_t bits = 0;
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      bits += litlen_lengths[t.len];
-    } else {
-      int lsym = LengthToSymbol(t.len);
-      int dsym = DistanceToSymbol(t.dist);
-      bits += litlen_lengths[lsym] + kLengthExtra[lsym - 257];
-      bits += dist_lengths[dsym] + kDistExtra[dsym];
-    }
+  for (int s = 0; s < kNumLitLenSymbols; ++s) {
+    bits += litlen_freq[s] * litlen_lengths[s];
   }
-  bits += litlen_lengths[kEndOfBlock];
+  for (int s = 0; s < kNumDistSymbols; ++s) {
+    bits += dist_freq[s] * dist_lengths[s];
+  }
   return bits;
 }
 
@@ -332,6 +364,14 @@ void EncodeBlock(BitWriter& bw, const std::vector<Token>& tokens,
     }
   }
   ++litlen_freq[kEndOfBlock];
+  // Length and distance extra bits: the same under every code.
+  uint64_t extra_bits = 0;
+  for (int i = 0; i < 29; ++i) {
+    extra_bits += litlen_freq[257 + i] * kLengthExtra[i];
+  }
+  for (int s = 0; s < kNumDistSymbols; ++s) {
+    extra_bits += dist_freq[s] * kDistExtra[s];
+  }
 
   // Dynamic code construction.
   BlockCodes dyn;
@@ -380,11 +420,13 @@ void EncodeBlock(BitWriter& bw, const std::vector<Token>& tokens,
     header_bits += clen_lengths[e.symbol] + ClenExtraBits(e.symbol);
   }
   uint64_t dynamic_bits =
-      header_bits + PayloadBits(tokens, dyn.litlen_lengths, dyn.dist_lengths);
+      header_bits + extra_bits +
+      CodedBits(litlen_freq, dist_freq, dyn.litlen_lengths, dyn.dist_lengths);
 
   BlockCodes fixed = FixedCodes();
   uint64_t fixed_bits =
-      PayloadBits(tokens, fixed.litlen_lengths, fixed.dist_lengths);
+      extra_bits + CodedBits(litlen_freq, dist_freq, fixed.litlen_lengths,
+                             fixed.dist_lengths);
 
   // Stored: per-chunk 3-bit header + up-to-7-bit pad + 32-bit LEN/NLEN.
   uint64_t nchunks = (block_input.size() + 65534) / 65535;

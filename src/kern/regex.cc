@@ -1,5 +1,7 @@
 #include "kern/regex.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 namespace dpdpu::kern {
@@ -428,79 +430,232 @@ Result<Regex> Regex::Compile(std::string_view pattern) {
 }
 
 // ---------------------------------------------------------------------------
-// Pike VM execution.
+// Execution: lazy DFA over Pike-VM thread sets, Pike VM as the fallback.
 // ---------------------------------------------------------------------------
 
-void Regex::AddThread(std::vector<int>& list, std::vector<uint32_t>& mark,
-                      uint32_t gen, int pc, size_t pos, size_t len) const {
-  if (mark[pc] == gen) return;
-  mark[pc] = gen;
-  const Inst& inst = program_[pc];
-  switch (inst.op) {
-    case Op::kJump:
-      AddThread(list, mark, gen, inst.x, pos, len);
-      break;
-    case Op::kSplit:
-      AddThread(list, mark, gen, inst.x, pos, len);
-      AddThread(list, mark, gen, inst.y, pos, len);
-      break;
-    case Op::kAssertBegin:
-      if (pos == 0) AddThread(list, mark, gen, pc + 1, pos, len);
-      break;
-    case Op::kAssertEnd:
-      if (pos == len) AddThread(list, mark, gen, pc + 1, pos, len);
-      break;
-    default:
-      list.push_back(pc);
-      break;
+// A DFA state is the sorted set of thread PCs after epsilon closure, taken
+// as if the position were neither the start nor the end of the text: '^'
+// threads die and '$' threads stay in the set as pending leaves. The two
+// anchor positions are handled exactly: a scan from position 0 starts in
+// a state closed with '^' holding, and at text.size() a state accepts
+// when kMatch is reachable from it with '$' holding (`kAcceptsAtEnd`).
+// Empty text runs on the Pike VM, the one case where both hold at once.
+class Regex::Matcher {
+ public:
+  Matcher(const Regex& re, std::string_view text, Engine engine)
+      : re_(re),
+        text_(text),
+        use_dfa_(engine == Engine::kLazyDfa && !text.empty()),
+        mark_(re.program_.size(), 0) {
+    if (!use_dfa_) return;
+    // State 0 is the dead state: the empty set, every transition to itself.
+    index_.emplace(std::vector<int>{}, kDead);
+    states_.emplace_back();
+    flags_.push_back(0);
+    next_.assign(256, kDead);
+    start_begin_ = StartState(true);
+    start_mid_ = StartState(false);
   }
-}
 
-ptrdiff_t Regex::RunFrom(std::string_view text, size_t start) const {
-  std::vector<int> current, next;
-  std::vector<uint32_t> mark(program_.size(), 0);
-  uint32_t gen = 1;
-  ptrdiff_t best_end = -1;
+  /// Longest match end from `start`, or -1 when no match starts there.
+  ptrdiff_t LongestFrom(size_t start) {
+    if (use_dfa_) {
+      ptrdiff_t end = DfaLongestFrom(start);
+      if (end != kGaveUp) return end;
+      use_dfa_ = false;  // state cap hit: this call finishes on the Pike VM
+      fell_back_ = true;
+    }
+    return PikeLongestFrom(start);
+  }
 
-  AddThread(current, mark, gen, 0, start, text.size());
-  for (size_t pos = start;; ++pos) {
-    // Check for match threads at this position.
-    for (int pc : current) {
-      if (program_[pc].op == Op::kMatch) {
-        best_end = static_cast<ptrdiff_t>(pos);
+  /// First position >= `pos` at which a match may start: skips bytes on
+  /// which the start state's transition is already known to be dead.
+  size_t NextCandidate(size_t pos) const {
+    if (!use_dfa_ || pos == 0 || (flags_[start_mid_] & kMatches)) return pos;
+    const int32_t* row = &next_[size_t(start_mid_) * 256];
+    while (pos < text_.size() && row[uint8_t(text_[pos])] == kDead) ++pos;
+    return pos;
+  }
+
+  ScanStats stats() const { return ScanStats{states_.size(), fell_back_}; }
+
+ private:
+  static constexpr int32_t kDead = 0;
+  static constexpr int32_t kUnknown = -1;
+  static constexpr int32_t kGaveUp = -2;
+  static constexpr uint8_t kMatches = 1;
+  static constexpr uint8_t kAcceptsAtEnd = 2;
+
+  // Adds `pc` and its epsilon closure to `list`. '^' holds only when
+  // `at_begin`; a '$' that does not hold yet stays in the list as a
+  // pending leaf (never a match, never consumes a byte).
+  void Closure(std::vector<int>& list, int pc, bool at_begin, bool at_end) {
+    if (mark_[pc] == gen_) return;
+    mark_[pc] = gen_;
+    const Inst& inst = re_.program_[pc];
+    switch (inst.op) {
+      case Op::kJump:
+        Closure(list, inst.x, at_begin, at_end);
+        break;
+      case Op::kSplit:
+        Closure(list, inst.x, at_begin, at_end);
+        Closure(list, inst.y, at_begin, at_end);
+        break;
+      case Op::kAssertBegin:
+        if (at_begin) Closure(list, pc + 1, at_begin, at_end);
+        break;
+      case Op::kAssertEnd:
+        if (at_end) {
+          Closure(list, pc + 1, at_begin, at_end);
+        } else {
+          list.push_back(pc);
+        }
+        break;
+      default:
+        list.push_back(pc);
+        break;
+    }
+  }
+
+  // Replaces `to` with the threads of `from` that consume byte `c`,
+  // closed at the next position.
+  void Step(const std::vector<int>& from, uint8_t c, bool at_end,
+            std::vector<int>& to) {
+    ++gen_;
+    to.clear();
+    for (int pc : from) {
+      const Inst& inst = re_.program_[pc];
+      if (inst.op == Op::kChar && re_.classes_[inst.x].test(c)) {
+        Closure(to, pc + 1, false, at_end);
       }
     }
-    if (pos >= text.size() || current.empty()) break;
-    uint8_t c = static_cast<uint8_t>(text[pos]);
-    ++gen;
-    next.clear();
-    for (int pc : current) {
-      const Inst& inst = program_[pc];
-      if (inst.op == Op::kChar && classes_[inst.x].test(c)) {
-        AddThread(next, mark, gen, pc + 1, pos + 1, text.size());
-      }
-    }
-    std::swap(current, next);
   }
-  return best_end;
+
+  bool HasMatch(const std::vector<int>& pcs) const {
+    for (int pc : pcs) {
+      if (re_.program_[pc].op == Op::kMatch) return true;
+    }
+    return false;
+  }
+
+  // Pike VM: one anchored run from `start` with thread lists reused
+  // across calls.
+  ptrdiff_t PikeLongestFrom(size_t start) {
+    const size_t len = text_.size();
+    ptrdiff_t best = -1;
+    ++gen_;
+    current_.clear();
+    Closure(current_, 0, start == 0, start == len);
+    for (size_t pos = start;; ++pos) {
+      if (HasMatch(current_)) best = static_cast<ptrdiff_t>(pos);
+      if (pos >= len || current_.empty()) break;
+      Step(current_, static_cast<uint8_t>(text_[pos]), pos + 1 == len, work_);
+      std::swap(current_, work_);
+    }
+    return best;
+  }
+
+  // Returns the id of the state holding the PCs in `work_` (sorted in
+  // place), creating it if new; kGaveUp when that would pass the cap.
+  int32_t Intern() {
+    std::sort(work_.begin(), work_.end());
+    auto it = index_.find(work_);
+    if (it != index_.end()) return it->second;
+    if (states_.size() >= kMaxDfaStates) return kGaveUp;
+    int32_t id = static_cast<int32_t>(states_.size());
+    uint8_t flags = HasMatch(work_) ? kMatches : 0;
+    states_.push_back(work_);
+    index_.emplace(work_, id);
+    ++gen_;
+    current_.clear();
+    for (int pc : states_.back()) Closure(current_, pc, false, true);
+    if (HasMatch(current_)) flags |= kAcceptsAtEnd;
+    flags_.push_back(flags);
+    next_.resize(next_.size() + 256, kUnknown);
+    return id;
+  }
+
+  int32_t StartState(bool at_begin) {
+    ++gen_;
+    work_.clear();
+    Closure(work_, 0, at_begin, false);
+    return Intern();
+  }
+
+  // Fills the transition of `state` on byte `c`.
+  int32_t Fill(int32_t state, uint8_t c) {
+    Step(states_[state], c, false, work_);
+    int32_t target = Intern();
+    if (target != kGaveUp) next_[size_t(state) * 256 + c] = target;
+    return target;
+  }
+
+  // Longest match end from `start`, -1 for none, kGaveUp at the cap.
+  ptrdiff_t DfaLongestFrom(size_t start) {
+    const size_t len = text_.size();
+    ptrdiff_t best = -1;
+    int32_t s = start == 0 ? start_begin_ : start_mid_;
+    for (size_t pos = start;; ++pos) {
+      if (pos == len) {
+        return (flags_[s] & kAcceptsAtEnd) ? static_cast<ptrdiff_t>(pos)
+                                           : best;
+      }
+      if (flags_[s] & kMatches) best = static_cast<ptrdiff_t>(pos);
+      uint8_t c = static_cast<uint8_t>(text_[pos]);
+      int32_t t = next_[size_t(s) * 256 + c];
+      if (t == kUnknown) {
+        t = Fill(s, c);
+        if (t == kGaveUp) return kGaveUp;
+      }
+      if (t == kDead) return best;
+      s = t;
+    }
+  }
+
+  const Regex& re_;
+  std::string_view text_;
+  bool use_dfa_;
+  bool fell_back_ = false;
+
+  // DFA: state id -> PC set, flags and 256 transitions (kUnknown until
+  // first use); PC set -> state id.
+  std::vector<std::vector<int>> states_;
+  std::vector<uint8_t> flags_;
+  std::vector<int32_t> next_;
+  std::map<std::vector<int>, int32_t> index_;
+  int32_t start_begin_ = kDead;  // scan from position 0 ('^' holds)
+  int32_t start_mid_ = kDead;    // scan from any later position
+
+  // Closure scratch shared by both executors; `mark_[pc] == gen_` means
+  // pc is already in the list being built.
+  std::vector<int> current_;
+  std::vector<int> work_;
+  std::vector<uint64_t> mark_;
+  uint64_t gen_ = 0;
+};
+
+bool Regex::FullMatch(std::string_view text, Engine engine) const {
+  Matcher m(*this, text, engine);
+  return m.LongestFrom(0) == static_cast<ptrdiff_t>(text.size());
 }
 
-bool Regex::FullMatch(std::string_view text) const {
-  return RunFrom(text, 0) == static_cast<ptrdiff_t>(text.size());
-}
-
-bool Regex::PartialMatch(std::string_view text) const {
+bool Regex::PartialMatch(std::string_view text, Engine engine) const {
+  Matcher m(*this, text, engine);
   for (size_t start = 0; start <= text.size(); ++start) {
-    if (RunFrom(text, start) >= 0) return true;
+    start = m.NextCandidate(start);
+    if (m.LongestFrom(start) >= 0) return true;
   }
   return false;
 }
 
-size_t Regex::CountMatches(std::string_view text) const {
+size_t Regex::CountMatches(std::string_view text, Engine engine,
+                           ScanStats* stats) const {
+  Matcher m(*this, text, engine);
   size_t count = 0;
   size_t pos = 0;
   while (pos <= text.size()) {
-    ptrdiff_t end = RunFrom(text, pos);
+    pos = m.NextCandidate(pos);
+    ptrdiff_t end = m.LongestFrom(pos);
     if (end < 0) {
       ++pos;
       continue;
@@ -509,6 +664,7 @@ size_t Regex::CountMatches(std::string_view text) const {
     pos = (static_cast<size_t>(end) > pos) ? static_cast<size_t>(end)
                                            : pos + 1;
   }
+  if (stats != nullptr) *stats = m.stats();
   return count;
 }
 

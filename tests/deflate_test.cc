@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "kern/bitio.h"
+#include "kern/crc32.h"
 #include "kern/deflate.h"
 #include "kern/deflate_tables.h"
 #include "kern/huffman.h"
@@ -512,6 +513,39 @@ TEST(InflateTest, BitFlipsHandledGracefully) {
   }
 }
 
+// The encoder's exact output. Every metric that depends on compressed
+// sizes (compress ratios, simulated transfer and latency figures) moves
+// with these bytes, so a change that alters them must update the values
+// here and list what moved.
+TEST(DeflateTest, OutputBytesArePinned) {
+  struct Pin {
+    int level;
+    size_t size;
+    uint32_t crc;
+  };
+  Buffer text = GenerateText(64 << 10, {});
+  Buffer random = GenerateRandomBytes(64 << 10, 1);
+  for (const Pin& pin : {Pin{1, 23713, 0xf95d01c7}, Pin{6, 21367, 0xae5f87f1},
+                         Pin{9, 20881, 0x1b7e7fc3}}) {
+    auto out = DeflateCompress(text.span(), DeflateOptions{pin.level});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->size(), pin.size) << "text, level " << pin.level;
+    EXPECT_EQ(Crc32(out->span()), pin.crc) << "text, level " << pin.level;
+  }
+  for (int level : {1, 6, 9}) {
+    auto out = DeflateCompress(random.span(), DeflateOptions{level});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->size(), 65546u) << "random, level " << level;
+    EXPECT_EQ(Crc32(out->span()), 0xff232f54u) << "random, level " << level;
+  }
+  // 1 MB splits into several 65536-token blocks.
+  Buffer large = GenerateText(1 << 20, {});
+  auto out = DeflateCompress(large.span(), DeflateOptions{1});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 369533u);
+  EXPECT_EQ(Crc32(out->span()), 0x0a0465b3u);
+}
+
 TEST(LengthSymbolTest, BoundariesMatchRfcTables) {
   EXPECT_EQ(LengthToSymbol(3), 257);
   EXPECT_EQ(LengthToSymbol(4), 258);
@@ -531,6 +565,19 @@ TEST(DistanceSymbolTest, BoundariesMatchRfcTables) {
   EXPECT_EQ(DistanceToSymbol(7), 5);
   EXPECT_EQ(DistanceToSymbol(24577), 29);
   EXPECT_EQ(DistanceToSymbol(32768), 29);
+}
+
+TEST(SymbolTablesTest, EveryLengthAndDistanceInItsRfcRange) {
+  for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+    int code = LengthToSymbol(len) - 257;
+    ASSERT_GE(len, kLengthBase[code]) << len;
+    ASSERT_LT(len - kLengthBase[code], 1 << kLengthExtra[code]) << len;
+  }
+  for (int dist = 1; dist <= kWindowSize; ++dist) {
+    int code = DistanceToSymbol(dist);
+    ASSERT_GE(dist, kDistBase[code]) << dist;
+    ASSERT_LT(dist - kDistBase[code], 1 << kDistExtra[code]) << dist;
+  }
 }
 
 }  // namespace

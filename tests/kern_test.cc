@@ -347,6 +347,135 @@ TEST(RegexTest, ClassWithLeadingBracket) {
   EXPECT_TRUE(Full("[]a]+", "]a]"));  // ']' first in class is a literal
 }
 
+// The lazy DFA against the Pike VM it falls back to: seeded random
+// patterns over every supported construct, compared on all three entry
+// points.
+class RandomPattern {
+ public:
+  explicit RandomPattern(uint64_t seed) : rng_(seed) {}
+
+  std::string Next() { return Alternate(2); }
+
+ private:
+  std::string Alternate(int depth) {
+    std::string out = Concat(depth);
+    while (rng_.NextBounded(4) == 0) {
+      out += '|';
+      out += Concat(depth);
+    }
+    return out;
+  }
+
+  std::string Concat(int depth) {
+    std::string out;
+    int pieces = int(rng_.NextBounded(4));  // 0 pieces: empty alternative
+    for (int i = 0; i < pieces; ++i) out += Repeat(depth);
+    return out;
+  }
+
+  std::string Repeat(int depth) {
+    std::string atom = Atom(depth);
+    switch (rng_.NextBounded(10)) {
+      case 0: return atom + "*";
+      case 1: return atom + "+";
+      case 2: return atom + "?";
+      case 3: return atom + "{" + Count() + "}";
+      case 4: return atom + "{" + Count() + ",}";
+      case 5: {
+        uint32_t m = rng_.NextBounded(3);
+        return atom + "{" + std::to_string(m) + "," +
+               std::to_string(m + rng_.NextBounded(3)) + "}";
+      }
+      default: return atom;
+    }
+  }
+
+  std::string Atom(int depth) {
+    static constexpr const char* kLiterals[] = {"a", "b", "e", "t", "i",
+                                                "n", " ", "\\."};
+    static constexpr const char* kClasses[] = {
+        "[ab]", "[a-e]", "[e-t]", "[^ab]", "[^a-z]", "[^ ]", ".",
+        "\\w",  "\\d",   "\\s",   "\\W"};
+    switch (rng_.NextBounded(depth > 0 ? 12 : 10)) {
+      case 0: case 1: case 2: case 3:
+        return kLiterals[rng_.NextBounded(8)];
+      case 4: case 5: case 6:
+        return kClasses[rng_.NextBounded(11)];
+      case 7: return "^";
+      case 8: return "$";
+      case 9: return "a";
+      default: {
+        std::string group = "(";
+        group += Alternate(depth - 1);
+        return group + ")";
+      }
+    }
+  }
+
+  std::string Count() { return std::to_string(rng_.NextBounded(4)); }
+
+  Pcg32 rng_;
+};
+
+void ExpectEnginesAgree(const Regex& re, std::string_view text) {
+  using Engine = Regex::Engine;
+  EXPECT_EQ(re.FullMatch(text), re.FullMatch(text, Engine::kPikeVm));
+  EXPECT_EQ(re.PartialMatch(text), re.PartialMatch(text, Engine::kPikeVm));
+  EXPECT_EQ(re.CountMatches(text), re.CountMatches(text, Engine::kPikeVm));
+}
+
+TEST(RegexTest, LazyDfaMatchesPikeVmOnRandomPatterns) {
+  Buffer text = GenerateText(512, {});
+  Buffer random = GenerateRandomBytes(512, 3);
+  std::vector<std::string> patterns = {"x*", "a?b*", "", "^", "$", "^$",
+                                       "(a|)*", "a*$", "^a*", "$a|b^"};
+  RandomPattern gen(11);
+  while (patterns.size() < 400) patterns.push_back(gen.Next());
+  Pcg32 rng(5);
+  int fallbacks = 0;
+  for (const std::string& pattern : patterns) {
+    SCOPED_TRACE("pattern: " + pattern);
+    auto re = Regex::Compile(pattern);
+    ASSERT_TRUE(re.ok()) << re.status();
+    ExpectEnginesAgree(*re, text.view());
+    ExpectEnginesAgree(*re, random.view());
+    for (int i = 0; i < 12; ++i) {
+      std::string ab(rng.NextBounded(9), 'a');
+      for (char& c : ab) c = rng.NextBounded(2) ? 'a' : 'b';
+      ExpectEnginesAgree(*re, ab);
+    }
+    Regex::ScanStats stats;
+    re->CountMatches(text.view(), Regex::Engine::kLazyDfa, &stats);
+    EXPECT_GT(stats.dfa_states, 1u);
+    fallbacks += stats.pike_vm_fallback;
+  }
+  EXPECT_EQ(fallbacks, 0);  // these patterns all fit under the cap
+}
+
+TEST(RegexTest, StateCapFallsBackToPikeVmMidScan) {
+  // (a|b)*a(a|b){12} needs one DFA state per distinct 13-byte window of
+  // a's and b's: far more than the cap. 'c' separators end each match,
+  // so the DFA counts the early runs and the Pike VM the later ones.
+  Pcg32 rng(9);
+  std::string text;
+  while (text.size() < 12000) {
+    size_t run = 100 + rng.NextBounded(400);
+    for (size_t i = 0; i < run; ++i) text += rng.NextBounded(2) ? 'a' : 'b';
+    text += 'c';
+  }
+  auto re = Regex::Compile("(a|b)*a(a|b){12}");
+  ASSERT_TRUE(re.ok());
+  Regex::ScanStats stats;
+  size_t dfa = re->CountMatches(text, Regex::Engine::kLazyDfa, &stats);
+  EXPECT_TRUE(stats.pike_vm_fallback);
+  EXPECT_EQ(stats.dfa_states, Regex::kMaxDfaStates);
+  EXPECT_EQ(dfa, re->CountMatches(text, Regex::Engine::kPikeVm));
+  EXPECT_GT(dfa, 10u);
+  EXPECT_EQ(re->PartialMatch(text), re->PartialMatch(text, Regex::Engine::kPikeVm));
+  EXPECT_FALSE(re->FullMatch(text));
+  EXPECT_FALSE(re->FullMatch(text, Regex::Engine::kPikeVm));
+}
+
 // --------------------------------------------------------------------------
 // Dedup.
 // --------------------------------------------------------------------------
