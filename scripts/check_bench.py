@@ -46,6 +46,15 @@ still finds real bugs. Reports schedules explored vs the naive
 enumeration pruned away. --explore-budget-scale N deepens the walk for
 the nightly run.
 
+A sixth mode, --ab REF_BUILD, is a same-machine A/B run for wall-time
+claims: it runs each sim bench from --build-dir and from REF_BUILD
+alternately (--runs pairs, default 5, swapping which build goes first
+every pair), then prints each bench's median wall time per build and the
+median and min/max of the per-pair wall ratio (build / REF_BUILD), and
+lists every simulated metric line that differs between the two builds.
+It exits 1 only when simulated lines differ; wall ratios are reported,
+never gated.
+
 Usage:
   python3 scripts/check_bench.py --build-dir build              # check
   python3 scripts/check_bench.py --build-dir build --update     # re-baseline
@@ -53,13 +62,17 @@ Usage:
   python3 scripts/check_bench.py --build-dir build --perturb    # tie-break
   python3 scripts/check_bench.py --build-dir build --perturb-selftest
   python3 scripts/check_bench.py --build-dir build --explore    # simex
+  python3 scripts/check_bench.py --build-dir build --ab REF_BUILD \
+      [--runs 5] [--bench fleet_cpu_savings ...]               # A/B
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "bench", "BASELINE.json")
@@ -386,6 +399,64 @@ def explore(build_dir, budget_scale):
     return 0
 
 
+# --------------------------------------------------------------------------
+# Same-machine A/B.
+# --------------------------------------------------------------------------
+
+def timed_run(exe):
+    """Runs `exe` once; returns (wall seconds, simulated metric lines)."""
+    start = time.perf_counter()
+    out = subprocess.run([exe], capture_output=True, text=True, check=True)
+    return time.perf_counter() - start, simulated_metric_lines(out.stdout)
+
+
+def ab(build_dir, ref_dir, runs, only):
+    names = sorted(set(sim_bench_binaries(build_dir)) &
+                   set(sim_bench_binaries(ref_dir)))
+    if only:
+        unknown = sorted(set(only) - set(names))
+        if unknown:
+            print(f"ab: not a sim bench in both builds: {', '.join(unknown)}")
+            return 1
+        names = [n for n in names if n in only]
+
+    differing = 0
+    for name in names:
+        walls = {"new": [], "ref": []}
+        sims = {}
+        for pair in range(runs):
+            order = (("ref", ref_dir), ("new", build_dir))
+            for label, d in order if pair % 2 == 0 else reversed(order):
+                secs, lines = timed_run(os.path.join(d, "bench", name))
+                walls[label].append(secs)
+                sims.setdefault(label, lines)
+        ratios = [n / r for n, r in zip(walls["new"], walls["ref"])]
+        print(f"ab: {name}: wall median {statistics.median(walls['ref']):.3f}"
+              f" s -> {statistics.median(walls['new']):.3f} s, ratio median "
+              f"{statistics.median(ratios):.3f} (min {min(ratios):.3f}, max "
+              f"{max(ratios):.3f}) over {runs} pairs")
+        if sims["ref"] == sims["new"]:
+            print(f"ab: {name}: {len(sims['new'])} simulated metric lines "
+                  "identical")
+            continue
+        differing += 1
+        ref_only = [line for line in sims["ref"] if line not in sims["new"]]
+        new_only = [line for line in sims["new"] if line not in sims["ref"]]
+        print(f"ab: {name}: SIMULATED LINES DIFFER "
+              f"({len(ref_only)} only in ref, {len(new_only)} only in new)")
+        for line in ref_only:
+            print(f"  ref: {line}")
+        for line in new_only:
+            print(f"  new: {line}")
+
+    if differing:
+        print(f"\nab: {differing}/{len(names)} benches emit different "
+              "simulated metrics")
+        return 1
+    print(f"ab: OK ({len(names)} benches, simulated metrics identical)")
+    return 0
+
+
 def classify(unit):
     if unit in WALL_RUNTIME_UNITS:
         return "wall_runtime"
@@ -418,8 +489,18 @@ def main():
     parser.add_argument("--explore-budget-scale", type=int, default=1,
                         help="multiply every --explore budget (nightly "
                              "deep runs)")
+    parser.add_argument("--ab", metavar="REF_BUILD",
+                        help="A/B wall time and simulated metrics of "
+                             "--build-dir against REF_BUILD")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="--ab: alternating run pairs per bench")
+    parser.add_argument("--bench", action="append", default=[],
+                        help="--ab: restrict to this sim bench "
+                             "(repeatable; default all)")
     args = parser.parse_args()
 
+    if args.ab:
+        return ab(args.build_dir, args.ab, args.runs, args.bench)
     if args.self_check:
         return self_check(args.build_dir)
     if args.perturb:

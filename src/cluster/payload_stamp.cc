@@ -20,22 +20,26 @@ uint64_t BodyWord(uint64_t state, uint64_t index) {
 
 Buffer MakeStampedPayload(size_t bytes, const PayloadStamp& stamp) {
   DPDPU_CHECK(bytes >= kPayloadStampBytes);
-  Buffer out;
-  out.reserve(bytes);
-  out.AppendU64(kPayloadStampMagic);
-  out.AppendU64(stamp.key);
-  out.AppendU64(stamp.version);
-  out.AppendU64(stamp.seed);
+  // Little-endian words written straight into the pre-sized buffer; the
+  // last word is cut to the bytes that remain.
+  Buffer out(bytes);
+  uint8_t* p = out.data();
+  auto put = [&p](uint64_t word, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+    p += n;
+  };
+  put(kPayloadStampMagic, 8);
+  put(stamp.key, 8);
+  put(stamp.version, 8);
+  put(stamp.seed, 8);
   uint64_t state = BodyState(stamp);
-  uint64_t index = 0;
-  while (out.size() + 8 <= bytes) {
-    out.AppendU64(BodyWord(state, index++));
+  size_t words = (bytes - kPayloadStampBytes) / 8;
+  for (uint64_t index = 0; index < words; ++index) {
+    put(BodyWord(state, index), 8);
   }
-  uint64_t tail = BodyWord(state, index);
-  while (out.size() < bytes) {
-    out.AppendU8(static_cast<uint8_t>(tail));
-    tail >>= 8;
-  }
+  put(BodyWord(state, words), bytes % 8);
   return out;
 }
 

@@ -34,6 +34,8 @@ void EncodeHeader(const SegmentHeader& h, Buffer* out) {
   out->AppendU32(h.len);
 }
 
+constexpr size_t kSegmentHeaderBytes = 2 + 2 + 8 + 8 + 1 + 4 + 4;
+
 bool DecodeHeader(ByteReader& r, SegmentHeader* h) {
   return r.ReadU16(&h->src_port) && r.ReadU16(&h->dst_port) &&
          r.ReadU64(&h->seq) && r.ReadU64(&h->ack) && r.ReadU8(&h->flags) &&
@@ -74,9 +76,9 @@ void TcpConnection::Send(ByteSpan data) {
                    sim::AccessKind::kCommutativeWrite);
   if (state_ == State::kClosed) return;  // aborted/closed: drop writes
   if (data.empty()) return;
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
   write_seq_ += data.size();
-  message_ends_.push_back(write_seq_);
+  send_queue_.push_back(
+      SendMessage{write_seq_, Buffer(data.data(), data.size())});
   if (state_ == State::kEstablished) Pump();
 }
 
@@ -100,11 +102,8 @@ void TcpConnection::Pump() {
     // open — i.e. on same-timestamp tie order between app writes and
     // ACK arrivals. cwnd and the advertised window never drop below one
     // MSS, so an empty pipe can always fit the next segment.
-    while (!message_ends_.empty() && message_ends_.front() <= snd_nxt_) {
-      message_ends_.pop_front();
-    }
-    uint64_t boundary =
-        message_ends_.empty() ? write_seq_ : message_ends_.front();
+    framed_to_ = std::max(framed_to_, snd_nxt_);
+    uint64_t boundary = MessageHolding(framed_to_)->end_seq;
     size_t len = static_cast<size_t>(
         std::min<uint64_t>(uint64_t(config_.mss), boundary - snd_nxt_));
     if (len == 0 || len > remaining_wnd) break;
@@ -123,17 +122,38 @@ void TcpConnection::Pump() {
   ArmRtoTimer();
 }
 
+auto TcpConnection::MessageHolding(uint64_t seq) const
+    -> std::deque<SendMessage>::const_iterator {
+  auto it = std::upper_bound(
+      send_queue_.begin(), send_queue_.end(), seq,
+      [](uint64_t s, const SendMessage& m) { return s < m.end_seq; });
+  DPDPU_CHECK(it != send_queue_.end());
+  DPDPU_CHECK(it->end_seq - it->data.size() <= seq);
+  return it;
+}
+
 void TcpConnection::SendSegment(uint64_t seq, size_t len,
                                 bool retransmission) {
-  // Data bytes [seq, seq+len) live in send_buffer_ starting at snd_una_
-  // (acked bytes are popped on arrival of their ACK).
-  DPDPU_CHECK(seq >= snd_una_);
-  size_t offset = static_cast<size_t>(seq - snd_una_);
-  DPDPU_CHECK(offset + len <= send_buffer_.size());
-  Buffer payload;
-  payload.reserve(len);
-  for (size_t i = 0; i < len; ++i) {
-    payload.AppendU8(send_buffer_[offset + i]);
+  // Data bytes [seq, seq+len) live in the unacked messages of
+  // send_queue_. A segment Pump frames lies within one message and goes
+  // out as a span of it; only a retransmission after a rewind can join
+  // several message tails, and that rare case is gathered into a copy.
+  DPDPU_CHECK(seq >= snd_una_ && seq + len <= write_seq_);
+  auto it = MessageHolding(seq);
+  ByteSpan payload = it->data.span().subspan(
+      static_cast<size_t>(seq - (it->end_seq - it->data.size())));
+  Buffer joined;
+  if (payload.size() >= len) {
+    payload = payload.first(len);
+  } else {
+    joined.reserve(len);
+    joined.Append(payload);
+    while (joined.size() < len) {
+      ++it;
+      joined.Append(it->data.span().first(
+          std::min(it->data.size(), len - joined.size())));
+    }
+    payload = joined.span();
   }
   if (retransmission) {
     ++stats_.retransmissions;
@@ -144,7 +164,7 @@ void TcpConnection::SendSegment(uint64_t seq, size_t len,
     timed_sent_at_ = stack_->simulator()->now();
   }
   stack_->Transmit(this, kFlagAck, seq, rcv_nxt_, rwnd_advertised_,
-                   payload.span());
+                   payload);
   ++stats_.segments_sent;
 }
 
@@ -185,8 +205,7 @@ void TcpConnection::Abort() {
   if (state_ == State::kClosed) return;
   state_ = State::kClosed;
   ++stats_.aborts;
-  send_buffer_.clear();
-  message_ends_.clear();
+  send_queue_.clear();
   out_of_order_.clear();
   // Collapse the send window so late ACKs for reaped bytes are ignored
   // (HandleAck drops anything above snd_max_) and bytes_unacked() is 0.
@@ -294,13 +313,9 @@ void TcpConnection::HandleAck(uint64_t ack, bool pure_ack) {
       UpdateRtt(stack_->simulator()->now() - timed_sent_at_);
       timing_ = false;
     }
-    // Pop acked bytes. Sequence 0 is the SYN; data starts at 1.
-    uint64_t data_acked_from = std::max(snd_una_, uint64_t(1));
-    uint64_t data_acked_to = std::min(ack, write_seq_);
-    if (data_acked_to > data_acked_from) {
-      size_t n = static_cast<size_t>(data_acked_to - data_acked_from);
-      DPDPU_CHECK(n <= send_buffer_.size());
-      send_buffer_.erase(send_buffer_.begin(), send_buffer_.begin() + n);
+    // Free fully acked messages; a partly acked one stays at the front.
+    while (!send_queue_.empty() && send_queue_.front().end_seq <= ack) {
+      send_queue_.pop_front();
     }
     snd_una_ = ack;
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
@@ -484,6 +499,7 @@ void TcpStack::Transmit(TcpConnection* conn, uint8_t flags, uint64_t seq,
   packet.src = node_;
   packet.dst = conn->remote_node_;
   packet.kind = kPacketKindTcp;
+  packet.payload.reserve(kSegmentHeaderBytes + payload.size());
   EncodeHeader(h, &packet.payload);
   packet.payload.Append(payload);
   if (segment_hook_) segment_hook_(packet.wire_size(), /*rx=*/false);

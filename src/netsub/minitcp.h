@@ -61,7 +61,7 @@ class TcpConnection {
   using ReceiveCallback = std::function<void(ByteSpan)>;
   using CloseCallback = std::function<void()>;
 
-  /// Queues bytes for transmission (copies into the send buffer).
+  /// Queues bytes for transmission (copies them once into the send queue).
   void Send(ByteSpan data);
 
   /// Sends FIN once the send buffer drains; peer's close callback fires.
@@ -104,6 +104,12 @@ class TcpConnection {
     kClosed,
   };
 
+  /// One app write: sequence range [end_seq - data.size(), end_seq).
+  struct SendMessage {
+    uint64_t end_seq;
+    Buffer data;
+  };
+
   TcpConnection(TcpStack* stack, NodeId remote_node, uint16_t local_port,
                 uint16_t remote_port, const TcpConfig& config);
 
@@ -112,6 +118,8 @@ class TcpConnection {
   void HandleAck(uint64_t ack, bool pure_ack);
   void Pump();
   void SendSegment(uint64_t seq, size_t len, bool retransmission);
+  /// The queued message holding sequence number `seq`.
+  std::deque<SendMessage>::const_iterator MessageHolding(uint64_t seq) const;
   void SendControl(uint8_t flags, uint64_t seq);
   void SendAck();
   void ArmRtoTimer();
@@ -128,13 +136,22 @@ class TcpConnection {
   State state_ = State::kSynSent;
 
   // Send side. Sequence space: SYN consumes 1, data bytes follow.
-  std::deque<uint8_t> send_buffer_;  // bytes [snd_una_, write_seq_)
-  /// End seq of each queued app write. Pump never packs bytes from two
-  /// writes into one segment and never cuts a segment at the window
-  /// edge, so the segment-size sequence is a pure function of the
-  /// message sizes — same-timestamp ordering of app writes vs ACK
-  /// arrivals moves *when* segments leave, never how many.
-  std::deque<uint64_t> message_ends_;
+  /// Unacked app writes in sequence order, covering [snd_una_,
+  /// write_seq_) (the front one may be partly acked). Send copies each
+  /// write in once; a segment's payload is a span of its message, handed
+  /// to Transmit without an intermediate copy; HandleAck frees a message
+  /// as soon as it is fully acked.
+  std::deque<SendMessage> send_queue_;
+  /// Pump never packs bytes from two writes into one segment and never
+  /// cuts a segment at the window edge, so the segment-size sequence is
+  /// a pure function of the message sizes — same-timestamp ordering of
+  /// app writes vs ACK arrivals moves *when* segments leave, never how
+  /// many. Pump frames at the first write end above `framed_to_`, the
+  /// highest snd_nxt_ it has framed from. After a go-back-N rewind,
+  /// write ends at or below it are no longer cut points, so re-sent
+  /// segments (like the immediate RTO and fast retransmits, which cut at
+  /// MSS only) may join the tails of several writes.
+  uint64_t framed_to_ = 0;
   uint64_t snd_una_ = 0;
   uint64_t snd_nxt_ = 0;
   uint64_t snd_max_ = 0;  // highest sequence ever sent (go-back-N rewinds

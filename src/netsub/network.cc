@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/function.h"
 #include "common/logging.h"
 
 namespace dpdpu::netsub {
@@ -32,35 +33,40 @@ void Network::Send(Packet packet) {
       lost = true;
     }
   }
-  size_t wire = packet.wire_size();
   // Serialize on the sender's NIC; deliver at the far end unless lost.
-  src_it->second.nic->Transmit(
-      wire, [this, packet = std::move(packet), lost, wire]() mutable {
-        if (lost) {
-          ++dropped_;
-          return;
-        }
-        auto it = endpoints_.find(packet.dst);
-        if (it == endpoints_.end()) {
-          ++dropped_;
-          return;
-        }
-        // The destination may have gone dark while the frame was in
-        // flight; it is lost at the dead NIC.
-        if (!IsUp(packet.dst)) {
-          ++dropped_;
-          ++dropped_node_down_;
-          return;
-        }
-        ++delivered_;
-        bytes_delivered_ += wire;
-        it->second.rx_bytes += wire;
-        if (sim::RaceChecker::Current() != nullptr) {
-          uint64_t link = (uint64_t(packet.src) << 32) | packet.dst;
-          link_chains_[link].Step();
-        }
-        it->second.handler(std::move(packet));
-      });
+  // A lost frame still occupies the wire and is counted as dropped when
+  // it would have landed. The delivery closure captures only `this` and
+  // the packet so it fits UniqueFunction's inline storage.
+  static_assert(sizeof(void*) + sizeof(Packet) <= UniqueFunction::kInlineSize);
+  hw::NicPort* nic = src_it->second.nic;
+  size_t wire = packet.wire_size();
+  if (lost) {
+    nic->Transmit(wire, [this] { ++dropped_; });
+    return;
+  }
+  nic->Transmit(wire, [this, packet = std::move(packet)]() mutable {
+    auto it = endpoints_.find(packet.dst);
+    if (it == endpoints_.end()) {
+      ++dropped_;
+      return;
+    }
+    // The destination may have gone dark while the frame was in flight;
+    // it is lost at the dead NIC.
+    if (!IsUp(packet.dst)) {
+      ++dropped_;
+      ++dropped_node_down_;
+      return;
+    }
+    size_t bytes = packet.wire_size();
+    ++delivered_;
+    bytes_delivered_ += bytes;
+    it->second.rx_bytes += bytes;
+    if (sim::RaceChecker::Current() != nullptr) {
+      uint64_t link = (uint64_t(packet.src) << 32) | packet.dst;
+      link_chains_[link].Step();
+    }
+    it->second.handler(std::move(packet));
+  });
 }
 
 void Network::SetNodeUp(NodeId node, bool up) {

@@ -18,6 +18,7 @@
 #include "cluster/shard_router.h"
 #include "cluster/workload.h"
 #include "common/rng.h"
+#include "kern/crc32.h"
 
 namespace dpdpu::cluster {
 namespace {
@@ -296,6 +297,28 @@ TEST(PayloadStampTest, RoundTripAndVerify) {
       << "never-written shard fill must not parse as a stamp";
   Buffer other = MakeStampedPayload(8192, PayloadStamp{7, 43, 99});
   EXPECT_FALSE(payload == other) << "versions must change the body";
+}
+
+TEST(PayloadStampTest, BytesArePinned) {
+  // Size and CRC32 of the stamped fill at header-only, odd-tail and page
+  // sizes. The values predate the word-at-a-time writer, so any change to
+  // the bytes a write carries shows up here.
+  struct Pin {
+    size_t bytes;
+    uint32_t crc;
+  };
+  for (Pin pin : {Pin{32, 0x5ee73877u}, Pin{33, 0x6fe1faa9u},
+                  Pin{39, 0xf4bfbf31u}, Pin{4096, 0x085c0bc3u},
+                  Pin{8192, 0xdc12578du}}) {
+    Buffer payload = MakeStampedPayload(pin.bytes, PayloadStamp{7, 42, 99});
+    EXPECT_EQ(payload.size(), pin.bytes);
+    EXPECT_EQ(kern::Crc32(payload.span()), pin.crc) << pin.bytes << " bytes";
+    EXPECT_TRUE(VerifyStampedPayload(payload.span()));
+  }
+  Buffer odd = MakeStampedPayload(39, PayloadStamp{7, 42, 99});
+  odd[odd.size() - 1] ^= 0x01;
+  EXPECT_FALSE(VerifyStampedPayload(odd.span()))
+      << "the partial last word must be verified too";
 }
 
 TEST(ShardRouterTest, WriteOnlyNodesTakeWritesButNotReads) {

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "hw/machine.h"
 #include "kern/textgen.h"
 #include "netsub/minitcp.h"
@@ -591,6 +593,135 @@ TEST_F(TcpFixture, AbortIsIdempotentAndReapsState) {
   EXPECT_EQ(close_calls, 1);
   EXPECT_EQ(client->bytes_unacked(), 0u);
   sim_.Run();  // nothing left scheduled for the aborted connection
+}
+
+// The send queue holds one entry per app write and hands segments to the
+// wire as spans of those entries. These pin the framing invariant that
+// span lookup relies on and the queue's reclamation on ACK and abort.
+TEST_F(TcpFixture, BackToBackWritesAreFramedPerMessage) {
+  Buffer received;
+  stack_b_->Listen(80, [&](TcpConnection* c) {
+    c->SetReceiveCallback([&](ByteSpan d) { received.Append(d); });
+  });
+  std::vector<size_t> tx_sizes;
+  stack_a_->SetSegmentHook([&](size_t bytes, bool rx) {
+    if (!rx) tx_sizes.push_back(bytes);
+  });
+  // All writes queue before the handshake completes, so Pump sees them
+  // together and only the write ends can separate them.
+  TcpConnection* client = stack_a_->Connect(2, 80);
+  const size_t mss = stack_a_->config().mss;
+  Buffer sent;
+  std::vector<size_t> expected_payloads;
+  uint64_t seed = 1;
+  for (size_t size : {size_t(1), mss - 1, mss, mss + 1, 3 * mss + 7}) {
+    Buffer message = kern::GenerateText(size, {seed++});
+    ASSERT_EQ(message.size(), size);
+    client->Send(message.span());
+    sent.Append(message.span());
+    for (size_t rest = size; rest > 0;) {
+      size_t chunk = std::min(mss, rest);
+      expected_payloads.push_back(chunk);
+      rest -= chunk;
+    }
+  }
+  sim_.Run();
+
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(client->stats().retransmissions, 0u);
+  EXPECT_EQ(client->bytes_unacked(), 0u);
+  // The SYN carries no payload, so its size is the per-segment header
+  // cost; the handshake ACK is the only other payload-free segment.
+  ASSERT_FALSE(tx_sizes.empty());
+  const size_t headers = tx_sizes[0];
+  std::vector<size_t> payloads;
+  for (size_t bytes : tx_sizes) {
+    if (bytes > headers) payloads.push_back(bytes - headers);
+  }
+  EXPECT_EQ(payloads, expected_payloads);
+}
+
+TEST_F(TcpFixture, LossyMultiMessageStreamRetransmitsAcrossWriteEnds) {
+  Buffer received;
+  stack_b_->Listen(80, [&](TcpConnection* c) {
+    c->SetReceiveCallback([&](ByteSpan d) { received.Append(d); });
+  });
+  TcpConnection* client = stack_a_->Connect(2, 80);
+  sim_.Run();
+  ASSERT_TRUE(client->established());
+  // Learn the per-segment header bytes from a 1-byte write.
+  size_t headers = 0;
+  stack_a_->SetSegmentHook([&](size_t bytes, bool rx) {
+    if (!rx && headers == 0) headers = bytes - 1;
+  });
+  Buffer sent("x");
+  client->Send(sent.span());
+  sim_.Run();
+  ASSERT_GT(headers, 0u);
+
+  // Every write below is at most kSmallMax bytes or is cut into MSS, 1-
+  // and 7-byte pieces, so a payload strictly between kSmallMax and the
+  // MSS joins the tails of several writes: a retransmission after a
+  // rewind. Multi-MSS writes also get partial ACKs inside a message.
+  const size_t mss = stack_a_->config().mss;
+  constexpr size_t kSmallMax = 250;
+  uint64_t joined_segments = 0;
+  stack_a_->SetSegmentHook([&](size_t bytes, bool rx) {
+    if (rx) return;
+    size_t payload = bytes - headers;
+    if (payload > kSmallMax && payload < mss) ++joined_segments;
+  });
+  net_->SetLossRate(0.05, 11);
+  Pcg32 sizes(5);
+  for (int i = 0; i < 600; ++i) {
+    size_t size = i % 10 == 9 ? (i % 20 == 9 ? mss + 1 : 3 * mss + 7)
+                              : 1 + sizes.NextBounded(kSmallMax);
+    Buffer message = kern::GenerateText(size, {uint64_t(i + 1)});
+    client->Send(message.span());
+    sent.Append(message.span());
+  }
+  sim_.Run();
+
+  ASSERT_EQ(received.size(), sent.size());
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(client->bytes_unacked(), 0u);
+  EXPECT_GT(client->stats().retransmissions, 0u);
+  EXPECT_GT(joined_segments, 0u)
+      << "the loss pattern should force a retransmission across write ends";
+}
+
+TEST_F(TcpFixture, AbortWithQueuedMessagesIgnoresLateAcks) {
+  Buffer received;
+  stack_b_->Listen(80, [&](TcpConnection* c) {
+    c->SetReceiveCallback([&](ByteSpan d) { received.Append(d); });
+  });
+  TcpConnection* client = stack_a_->Connect(2, 80);
+  sim_.Run();
+  ASSERT_TRUE(client->established());
+  Buffer sent;
+  for (uint64_t i = 1; i <= 4; ++i) {
+    Buffer message = kern::GenerateText(10000, {i});
+    client->Send(message.span());
+    sent.Append(message.span());
+  }
+  ASSERT_GT(client->bytes_unacked(), 0u) << "segments must be in flight";
+  uint64_t received_before = client->stats().segments_received;
+  client->Abort();
+  EXPECT_EQ(client->bytes_unacked(), 0u);
+  const uint64_t cwnd_at_abort = client->cwnd();
+  sim_.Run();  // in-flight segments land and the server ACKs them
+
+  EXPECT_GT(client->stats().segments_received, received_before)
+      << "late ACKs must reach the aborted connection";
+  EXPECT_TRUE(client->closed());
+  EXPECT_EQ(client->bytes_unacked(), 0u);
+  EXPECT_EQ(client->stats().aborts, 1u);
+  EXPECT_EQ(client->stats().retransmissions, 0u);
+  EXPECT_EQ(client->cwnd(), cwnd_at_abort) << "late ACKs must not count";
+  ASSERT_LE(received.size(), sent.size());
+  EXPECT_TRUE(std::equal(received.span().begin(), received.span().end(),
+                         sent.span().begin()))
+      << "what did arrive is a prefix of the stream";
 }
 
 
