@@ -47,19 +47,19 @@ struct Env {
   }
 
   rt::StageFn ReadStage() {
-    return [this](Buffer idx, std::function<void(Result<Buffer>)> done) {
+    return [this](Buffer idx, UniqueFunction<void(Result<Buffer>)> done) {
       ByteReader r(idx.span());
       uint64_t page = 0;
       r.ReadU64(&page);
       server->storage().file_service().ReadAsync(
           file, page * kPageBytes, kPageBytes,
-          [done = std::move(done)](Result<Buffer> d) {
+          [done = std::move(done)](Result<Buffer> d) mutable {
             done(std::move(d));
           });
     };
   }
   rt::StageFn CompressStage() {
-    return [this](Buffer page, std::function<void(Result<Buffer>)> done) {
+    return [this](Buffer page, UniqueFunction<void(Result<Buffer>)> done) {
       auto item = server->compute().Invoke(ce::kKernelCompress,
                                            std::move(page), {},
                                            {ce::ExecTarget::kDpuAsic});
@@ -67,13 +67,13 @@ struct Env {
         done(item.status());
         return;
       }
-      (*item)->OnComplete([done = std::move(done)](ce::WorkItem& w) {
+      (*item)->OnComplete([done = std::move(done)](ce::WorkItem& w) mutable {
         done(w.result());
       });
     };
   }
   rt::StageFn SendStage() {
-    return [this](Buffer data, std::function<void(Result<Buffer>)> done) {
+    return [this](Buffer data, UniqueFunction<void(Result<Buffer>)> done) {
       out->Send(data.span());
       done(std::move(data));
     };

@@ -84,15 +84,15 @@ int main() {
   rt::Pipeline pipeline;
   int next_page = 0;
   pipeline
-      .AddStage([&](Buffer, std::function<void(Result<Buffer>)> done) {
+      .AddStage([&](Buffer, UniqueFunction<void(Result<Buffer>)> done) {
         int p = next_page++;
         storage_node.storage().file_service().ReadAsync(
             *file, page_offsets[p], page_sizes[p],
-            [done = std::move(done)](Result<Buffer> data) {
+            [done = std::move(done)](Result<Buffer> data) mutable {
               done(std::move(data));
             });
       })
-      .AddStage([&](Buffer page, std::function<void(Result<Buffer>)> done) {
+      .AddStage([&](Buffer page, UniqueFunction<void(Result<Buffer>)> done) {
         auto work = storage_node.compute().Invoke(
             ce::kKernelFilter, std::move(page),
             {{"schema", kSchemaParam},
@@ -104,12 +104,13 @@ int main() {
           done(work.status());
           return;
         }
-        (*work)->OnComplete([done = std::move(done)](ce::WorkItem& item) {
-          done(item.result());
-        });
+        (*work)->OnComplete(
+            [done = std::move(done)](ce::WorkItem& item) mutable {
+              done(item.result());
+            });
       })
       .AddStage([&](Buffer filtered,
-                    std::function<void(Result<Buffer>)> done) {
+                    UniqueFunction<void(Result<Buffer>)> done) {
         kern::Schema schema({{"order_id", kern::ColumnType::kInt64},
                              {"amount", kern::ColumnType::kDouble},
                              {"region", kern::ColumnType::kString}});

@@ -141,7 +141,7 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
   Fleet* fleet = nullptr;
   uint32_t node_index = 0;
   uint64_t epoch = 0;  // recover_epoch at start; a bump means re-failure
-  std::function<void()> done;
+  UniqueFunction<void()> done;
 
   std::deque<ConsistencyManager::Hint> hints;
   std::deque<DiffItem> diff;
@@ -203,11 +203,11 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
   // Without this bound the transfer wedges forever and its unreplayed
   // hints leak with it. On expiry the wedged connections are dropped
   // and `resume` continues the job (which re-checks Aborted()).
-  uint64_t ArmWatchdog(std::function<void()> resume) {
+  uint64_t ArmWatchdog(UniqueFunction<void()> resume) {
     uint64_t seq = ++step_;
     fleet->simulator()->Schedule(
         cm->options_.catchup_rpc_timeout,
-        [self = shared_from_this(), seq, resume = std::move(resume)] {
+        [self = shared_from_this(), seq, resume = std::move(resume)]() mutable {
           if (self->step_ != seq) return;  // RPC finished in time
           ++self->step_;
           ++self->cm->stats_.catchup_rpc_timeouts;
@@ -402,7 +402,7 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
 };
 
 void ConsistencyManager::CatchUp(uint32_t node_index,
-                                 std::function<void()> done) {
+                                 UniqueFunction<void()> done) {
   // Recovery takes ownership of the node's queued hints (and clears the
   // overflow marker) in one step; commutative against QueueHint for the
   // same reason as CatchUpJob::Finish above.

@@ -31,12 +31,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "sim/simrace.h"
 
 namespace dpdpu::cluster {
@@ -119,7 +119,7 @@ class ConsistencyManager {
   /// invokes `done` when it may serve reads again. The caller keeps the
   /// node write-only routed until then. May complete synchronously when
   /// there is nothing to transfer.
-  void CatchUp(uint32_t node_index, std::function<void()> done);
+  void CatchUp(uint32_t node_index, UniqueFunction<void()> done);
 
   /// Publishes the node's durable state to the version authority; the
   /// caller invokes this immediately before re-admitting the node to

@@ -58,7 +58,7 @@ void ScheduleWrite(Simulator& sim, FleetClient& client, GroundTruth& truth,
                    SimTime when, uint64_t key) {
   sim.ScheduleAt(when, [&client, &truth, key] {
     uint64_t version = ++truth.issued[key];
-    client.IssueWriteChecked(key, [&truth, key, version](bool ok) {
+    client.IssueWrite(key, [&truth, key, version](bool ok) {
       if (ok && version > truth.acked[key]) truth.acked[key] = version;
     });
   });

@@ -20,8 +20,7 @@ struct FleetClient::Op {
   uint64_t generation = 0;
   bool done = false;
   std::vector<netsub::NodeId> tried;
-  std::function<void()> on_done;
-  std::function<void(bool)> on_done_ok;
+  DoneFn on_done;
   /// Staleness instrument: the version committed for this block before
   /// the op started. One-sided on purpose — versions committed while
   /// the read is in flight are not held against it.
@@ -79,7 +78,7 @@ se::RemoteStorageClient* FleetClient::ClientFor(netsub::NodeId node) {
   return it->second.get();
 }
 
-void FleetClient::IssueOne(std::function<void()> done) {
+void FleetClient::IssueOne(UniqueFunction<void()> done) {
   // Commutative client accounting (see the race_tag_ declaration):
   // same-tick issues swap counter values, which swaps which request
   // draws which identity — the drawn multiset is unchanged.
@@ -100,30 +99,21 @@ void FleetClient::IssueOne(std::function<void()> done) {
                       ? 0
                       : se::kRequestFlagRequiresHost;
   bool is_read = rng.NextDouble() < options_.read_fraction;
-  Issue(key, is_read, flags, std::move(done));
+  DoneFn on_done;
+  if (done) on_done = [done = std::move(done)](bool) mutable { done(); };
+  Issue(key, is_read, flags, std::move(on_done));
 }
 
-void FleetClient::IssueRead(uint64_t key, std::function<void()> done) {
+void FleetClient::IssueRead(uint64_t key, DoneFn done) {
   Issue(key, true, 0, std::move(done));
 }
 
-void FleetClient::IssueWrite(uint64_t key, std::function<void()> done) {
+void FleetClient::IssueWrite(uint64_t key, DoneFn done) {
   Issue(key, false, 0, std::move(done));
 }
 
-void FleetClient::IssueReadChecked(uint64_t key,
-                                   std::function<void(bool)> done) {
-  Issue(key, true, 0, nullptr, std::move(done));
-}
-
-void FleetClient::IssueWriteChecked(uint64_t key,
-                                    std::function<void(bool)> done) {
-  Issue(key, false, 0, nullptr, std::move(done));
-}
-
 void FleetClient::Issue(uint64_t key, bool is_read, uint8_t flags,
-                        std::function<void()> done,
-                        std::function<void(bool)> done_ok) {
+                        DoneFn done) {
   DPDPU_SIM_ACCESS(race_tag_, "FleetClient", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
   auto op = std::make_shared<Op>();
@@ -135,7 +125,6 @@ void FleetClient::Issue(uint64_t key, bool is_read, uint8_t flags,
                            : 0);
   op->start = fleet_->simulator()->now();
   op->on_done = std::move(done);
-  op->on_done_ok = std::move(done_ok);
   op->expected_version = fleet_->consistency().CommittedVersion(op->offset);
   ++stats_.issued;
   if (is_read) {
@@ -457,8 +446,7 @@ void FleetClient::Finish(std::shared_ptr<Op> op, bool ok) {
   } else {
     ++stats_.failed;
   }
-  if (op->on_done) op->on_done();
-  if (op->on_done_ok) op->on_done_ok(ok);
+  if (op->on_done) op->on_done(ok);
 }
 
 OpenLoopDriver::OpenLoopDriver(std::vector<FleetClient*> clients,

@@ -8,12 +8,12 @@
 #ifndef DPDPU_CLUSTER_WORKLOAD_H_
 #define DPDPU_CLUSTER_WORKLOAD_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "cluster/fleet.h"
+#include "common/function.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "core/storage/storage_engine.h"
@@ -71,21 +71,21 @@ class FleetClient {
 
   FleetClient(Fleet* fleet, uint32_t client_index, WorkloadOptions options);
 
+  /// Completion of one operation: ok is false when it was abandoned
+  /// (replicas or attempts exhausted).
+  using DoneFn = UniqueFunction<void(bool ok)>;
+
   /// Issues one operation (key, read/write, and offloadability drawn
   /// from this client's deterministic RNG). `done` fires when the
   /// operation completes or is abandoned.
-  void IssueOne(std::function<void()> done = nullptr);
+  void IssueOne(UniqueFunction<void()> done = {});
 
   /// Deterministic targeted operations for tests and benches: no RNG
-  /// draws, offloadable flags.
-  void IssueRead(uint64_t key, std::function<void()> done = nullptr);
-  void IssueWrite(uint64_t key, std::function<void()> done = nullptr);
-
-  /// Like IssueRead/IssueWrite but reporting the op's outcome; simex
+  /// draws, offloadable flags. `done` reports the op's outcome; simex
   /// scenarios key per-op ground truth (which write versions were acked
   /// to the caller) on it.
-  void IssueReadChecked(uint64_t key, std::function<void(bool ok)> done);
-  void IssueWriteChecked(uint64_t key, std::function<void(bool ok)> done);
+  void IssueRead(uint64_t key, DoneFn done = {});
+  void IssueWrite(uint64_t key, DoneFn done = {});
 
   const Stats& stats() const { return stats_; }
   const Histogram& latency_ns() const { return latency_; }
@@ -96,9 +96,7 @@ class FleetClient {
   struct Op;
 
   se::RemoteStorageClient* ClientFor(netsub::NodeId node);
-  void Issue(uint64_t key, bool is_read, uint8_t flags,
-             std::function<void()> done,
-             std::function<void(bool)> done_ok = nullptr);
+  void Issue(uint64_t key, bool is_read, uint8_t flags, DoneFn done);
   void AttemptRead(std::shared_ptr<Op> op);
   void OnReadReply(std::shared_ptr<Op> op, netsub::NodeId server,
                    Result<Buffer> data, uint64_t version);

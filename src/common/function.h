@@ -1,6 +1,9 @@
-// UniqueFunction: a move-only std::function<void()> replacement so that
-// simulation events and async completions can capture move-only state
-// (Buffers, Results) without shared_ptr indirection.
+// UniqueFunction<R(Args...)>: the one callback type of the simulator — a
+// move-only type-erased callable (the shape of C++23's
+// std::move_only_function), so that simulation events and async
+// completions can capture move-only state (Buffers, Results) without
+// shared_ptr indirection, and so that a callback is never copied by
+// accident.
 //
 // Small-buffer optimized: callables up to kInlineSize bytes live inline
 // (no heap allocation on the simulator's event hot path); larger captures
@@ -18,8 +21,14 @@
 
 namespace dpdpu {
 
-/// Type-erased move-only callable with signature void().
-class UniqueFunction {
+template <typename Signature>
+class UniqueFunction;
+
+/// Type-erased move-only callable with signature R(Args...). Default- or
+/// nullptr-constructed instances are empty (false); calling an empty one
+/// is undefined, so optional callbacks are invoked as `if (cb) cb(...)`.
+template <typename R, typename... Args>
+class UniqueFunction<R(Args...)> {
  public:
   /// Inline storage: sized so a capture of several pointers/integers
   /// (the typical simulation event lambda) fits without allocating;
@@ -28,10 +37,12 @@ class UniqueFunction {
   static constexpr size_t kInlineAlign = alignof(std::max_align_t);
 
   UniqueFunction() = default;
+  UniqueFunction(std::nullptr_t) {}  // NOLINT(runtime/explicit)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, UniqueFunction>>>
+                !std::is_same_v<std::decay_t<F>, UniqueFunction> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   UniqueFunction(F&& f) {  // NOLINT(runtime/explicit)
     using D = std::decay_t<F>;
     if constexpr (kFitsInline<D>) {
@@ -58,7 +69,9 @@ class UniqueFunction {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  void operator()() { ops_->call(storage_); }
+  R operator()(Args... args) {
+    return ops_->call(storage_, std::forward<Args>(args)...);
+  }
 
   /// True when the held callable lives in inline storage (test hook for
   /// the SBO size contract; empty functions report false).
@@ -66,7 +79,7 @@ class UniqueFunction {
 
  private:
   struct Ops {
-    void (*call)(void*);
+    R (*call)(void*, Args&&...);
     // Move-constructs the payload from `from` into `to`, then destroys
     // the payload at `from` (heap boxes just relocate the pointer).
     void (*relocate)(void* from, void* to) noexcept;
@@ -90,7 +103,10 @@ class UniqueFunction {
 
   template <typename D>
   static constexpr Ops kInlineOps = {
-      [](void* s) { (*Inline<D>(s))(); },
+      [](void* s, Args&&... args) -> R {
+        // The cast discards a value a void signature does not return.
+        return static_cast<R>((*Inline<D>(s))(std::forward<Args>(args)...));
+      },
       [](void* from, void* to) noexcept {
         D* f = Inline<D>(from);
         ::new (to) D(std::move(*f));
@@ -102,7 +118,9 @@ class UniqueFunction {
 
   template <typename D>
   static constexpr Ops kHeapOps = {
-      [](void* s) { (*Boxed<D>(s))(); },
+      [](void* s, Args&&... args) -> R {
+        return static_cast<R>((*Boxed<D>(s))(std::forward<Args>(args)...));
+      },
       [](void* from, void* to) noexcept {
         ::new (to) D*(Boxed<D>(from));
       },

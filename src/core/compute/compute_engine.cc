@@ -1,6 +1,5 @@
 #include "core/compute/compute_engine.h"
 
-#include "core/compute/sproc.h"
 #include "hw/calibration.h"
 
 namespace dpdpu::ce {
@@ -11,7 +10,6 @@ ComputeEngine::ComputeEngine(hw::Server* server, KernelRegistry registry,
       registry_(std::move(registry)),
       options_(options),
       placement_(server) {
-  sproc_context_ = std::make_unique<SprocContext>(this);
   for (const auto& aspec : server->spec().dpu.accelerators) {
     AsicState state;
     state.queue = std::make_unique<AdmissionQueue>(
@@ -335,7 +333,7 @@ void ComputeEngine::PumpAsicQueue(hw::AcceleratorKind kind) {
   hw::Accelerator* asic = server_->accelerator(kind);
   while (state.in_flight < asic->spec().max_concurrency &&
          !state.queue->empty()) {
-    UniqueFunction dispatch;
+    UniqueFunction<void()> dispatch;
     if (!state.queue->Pop(&dispatch)) break;
     dispatch();
   }
@@ -380,17 +378,15 @@ Status ComputeEngine::InvokeSproc(const std::string& name) {
         server_->pcie().spec().latency_ns, [this, fn = &it->second] {
           server_->host_cpu().Execute(
               hw::cal::kKernelDispatchCycles,
-              [this, fn] { (*fn)(*sproc_context_); });
+              [this, fn] { (*fn)(sproc_context_); });
         });
     return Status::Ok();
   }
   server_->dpu_cpu().Execute(
       hw::cal::kKernelDispatchCycles,
-      [this, fn = &it->second] { (*fn)(*sproc_context_); });
+      [this, fn = &it->second] { (*fn)(sproc_context_); });
   return Status::Ok();
 }
-
-ComputeEngine::~ComputeEngine() = default;
 
 std::vector<std::string> ComputeEngine::Sprocs() const {
   std::vector<std::string> names;

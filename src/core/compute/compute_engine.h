@@ -13,16 +13,17 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "core/compute/dp_kernel.h"
 #include "core/compute/scheduler.h"
+#include "core/compute/sproc.h"
 #include "core/compute/work_item.h"
 #include "hw/machine.h"
 
 namespace dpdpu::ce {
 
-class SprocContext;
-using SprocFn = std::function<void(SprocContext&)>;
+using SprocFn = UniqueFunction<void(SprocContext&)>;
 
 struct ComputeEngineOptions {
   PlacementPolicy policy = PlacementPolicy::kModelBased;
@@ -45,7 +46,6 @@ class ComputeEngine {
  public:
   ComputeEngine(hw::Server* server, KernelRegistry registry,
                 ComputeEngineOptions options = {});
-  ~ComputeEngine();  // out of line: SprocContext is incomplete here
 
   ComputeEngine(const ComputeEngine&) = delete;
   ComputeEngine& operator=(const ComputeEngine&) = delete;
@@ -109,13 +109,12 @@ class ComputeEngine {
   uint64_t sprocs_invoked() const { return sprocs_invoked_; }
   uint64_t sprocs_migrated_to_host() const { return sprocs_migrated_; }
 
-  /// Engine pointers for SprocContext; set by the runtime Platform.
-  void SetEngineContext(void* network_engine, void* storage_engine) {
-    network_engine_ = network_engine;
-    storage_engine_ = storage_engine;
+  /// Companion engines handed to sprocs (SprocContext::network() and
+  /// storage()); set by the runtime Platform.
+  void SetEngineContext(ne::NetworkEngine* network,
+                        se::StorageEngine* storage) {
+    sproc_context_.SetEngines(network, storage);
   }
-  void* network_engine_opaque() const { return network_engine_; }
-  void* storage_engine_opaque() const { return storage_engine_; }
 
  private:
   void Dispatch(const DpKernel& kernel, ExecTarget target, Buffer input,
@@ -143,12 +142,10 @@ class ComputeEngine {
   // Engine-owned context handed to every sproc: it outlives any async
   // continuation a sproc schedules, so sproc bodies may capture it by
   // reference.
-  std::unique_ptr<SprocContext> sproc_context_;
+  SprocContext sproc_context_{this};
   std::map<ExecTarget, TargetStats> stats_;
   uint64_t sprocs_invoked_ = 0;
   uint64_t sprocs_migrated_ = 0;
-  void* network_engine_ = nullptr;
-  void* storage_engine_ = nullptr;
 };
 
 }  // namespace dpdpu::ce

@@ -27,8 +27,10 @@ namespace dpdpu::ce {
 using KernelParams = std::map<std::string, std::string>;
 
 /// The real implementation: same bytes out regardless of placement.
-using KernelFn =
-    std::function<Result<Buffer>(ByteSpan input, const KernelParams& params)>;
+/// Copyable, unlike every other callback: a DpKernel is a value that
+/// registries hand out by copy, and wrappers capture a kernel's fn by copy.
+using KernelFn = std::function<  // simlint:allow(R8): copied with DpKernel
+    Result<Buffer>(ByteSpan input, const KernelParams& params)>;
 
 /// A registered DP kernel.
 struct DpKernel {

@@ -151,7 +151,7 @@ sim::SimTime PlacementModel::backlog(ExecTarget target) const {
 // ---------------------------------------------------------------------------
 
 void AdmissionQueue::Push(uint32_t tenant, uint64_t weight_bytes,
-                          UniqueFunction dispatch) {
+                          UniqueFunction<void()> dispatch) {
   DPDPU_SIM_ACCESS(race_tag_, "ce::AdmissionQueue", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
   ++size_;
@@ -163,7 +163,7 @@ void AdmissionQueue::Push(uint32_t tenant, uint64_t weight_bytes,
   }
 }
 
-bool AdmissionQueue::Pop(UniqueFunction* out) {
+bool AdmissionQueue::Pop(UniqueFunction<void()>* out) {
   DPDPU_SIM_ACCESS(race_tag_, "ce::AdmissionQueue", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
   if (size_ == 0) return false;

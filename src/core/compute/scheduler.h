@@ -73,11 +73,12 @@ class AdmissionQueue {
                           uint64_t quantum_bytes = 64 * 1024)
       : discipline_(discipline), quantum_(quantum_bytes) {}
 
-  void Push(uint32_t tenant, uint64_t weight_bytes, UniqueFunction dispatch);
+  void Push(uint32_t tenant, uint64_t weight_bytes,
+            UniqueFunction<void()> dispatch);
 
   /// Pops the next admissible entry per the discipline. Returns false
   /// when empty.
-  bool Pop(UniqueFunction* out);
+  bool Pop(UniqueFunction<void()>* out);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -88,7 +89,7 @@ class AdmissionQueue {
  private:
   struct Entry {
     uint64_t weight;
-    UniqueFunction dispatch;
+    UniqueFunction<void()> dispatch;
   };
   struct TenantState {
     std::deque<Entry> queue;

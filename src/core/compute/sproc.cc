@@ -4,14 +4,6 @@
 
 namespace dpdpu::ce {
 
-ne::NetworkEngine* SprocContext::network() {
-  return static_cast<ne::NetworkEngine*>(engine_->network_engine_opaque());
-}
-
-se::StorageEngine* SprocContext::storage() {
-  return static_cast<se::StorageEngine*>(engine_->storage_engine_opaque());
-}
-
 Result<WorkItemPtr> SprocContext::InvokeKernel(const std::string& kernel,
                                                Buffer input,
                                                KernelParams params,

@@ -33,8 +33,12 @@ class SprocContext {
 
   /// The companion engines, when the sproc runs under a full Platform
   /// (nullptr in compute-only deployments).
-  ne::NetworkEngine* network();
-  se::StorageEngine* storage();
+  ne::NetworkEngine* network() { return network_; }
+  se::StorageEngine* storage() { return storage_; }
+  void SetEngines(ne::NetworkEngine* network, se::StorageEngine* storage) {
+    network_ = network;
+    storage_ = storage;
+  }
 
   /// Fig 6's `ce.get_dpk(...)` + invocation in one call: dispatches a DP
   /// kernel, returning the in-progress work item (or Unavailable for a
@@ -45,6 +49,8 @@ class SprocContext {
 
  private:
   ComputeEngine* engine_;
+  ne::NetworkEngine* network_ = nullptr;
+  se::StorageEngine* storage_ = nullptr;
 };
 
 }  // namespace dpdpu::ce

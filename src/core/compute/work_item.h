@@ -6,11 +6,11 @@
 #define DPDPU_CORE_COMPUTE_WORK_ITEM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "sim/simulator.h"
 
@@ -52,7 +52,7 @@ class WorkItem {
   sim::SimTime latency() const { return completed_at_ - submitted_at_; }
 
   /// Registers a continuation; fires immediately when already done.
-  void OnComplete(std::function<void(WorkItem&)> fn) {
+  void OnComplete(UniqueFunction<void(WorkItem&)> fn) {
     if (done_) {
       fn(*this);
     } else {
@@ -67,8 +67,8 @@ class WorkItem {
     executed_on_ = ran_on;
     completed_at_ = completed_at;
     done_ = true;
-    std::vector<std::function<void(WorkItem&)>> continuations;
-    continuations.swap(continuations_);
+    std::vector<UniqueFunction<void(WorkItem&)>> continuations =
+        std::move(continuations_);
     for (auto& fn : continuations) fn(*this);
   }
 
@@ -80,7 +80,7 @@ class WorkItem {
   ExecTarget executed_on_ = ExecTarget::kAuto;
   sim::SimTime submitted_at_ = 0;
   sim::SimTime completed_at_ = 0;
-  std::vector<std::function<void(WorkItem&)>> continuations_;
+  std::vector<UniqueFunction<void(WorkItem&)>> continuations_;
 };
 
 using WorkItemPtr = std::shared_ptr<WorkItem>;

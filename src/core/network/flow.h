@@ -10,9 +10,9 @@
 #define DPDPU_CORE_NETWORK_FLOW_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "core/network/network_engine.h"
 
 namespace dpdpu::ne {
@@ -67,7 +67,7 @@ class FlowWriter {
 /// Receiving half: reassembles length-framed records from the stream.
 class FlowReader {
  public:
-  using RecordCallback = std::function<void(ByteSpan)>;
+  using RecordCallback = UniqueFunction<void(ByteSpan)>;
 
   explicit FlowReader(NeSocket* socket, RecordCallback on_record);
 

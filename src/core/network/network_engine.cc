@@ -113,7 +113,7 @@ void NetworkEngine::ChargeSegment(size_t wire_bytes, bool rx) {
                     : cal::kKernelTcpCyclesPerMsg +
                           uint64_t(double(wire_bytes) *
                                    cal::kKernelTcpCyclesPerByte);
-    server_->host_cpu().Execute(cycles, UniqueFunction([] {}));
+    server_->host_cpu().Execute(cycles);
   } else {
     // Offloaded stack: segments cost DPU cycles, at the optimized
     // userspace rate (plus NIC packet processing).
@@ -124,7 +124,7 @@ void NetworkEngine::ChargeSegment(size_t wire_bytes, bool rx) {
                           cal::kNicPerPacketDpuCycles +
                           uint64_t(double(wire_bytes) *
                                    cal::kDpuTcpCyclesPerByte);
-    server_->dpu_cpu().Execute(cycles, UniqueFunction([] {}));
+    server_->dpu_cpu().Execute(cycles);
   }
 }
 
@@ -142,8 +142,7 @@ void NetworkEngine::SubmitSend(NeSocket* socket, Buffer data) {
   }
   // Offload path: host ring submit, then DMA the payload to DPU memory,
   // then the DPU-side stack takes over.
-  server_->host_cpu().Execute(cal::kHostRingSubmitCycles,
-                              UniqueFunction([] {}));
+  server_->host_cpu().Execute(cal::kHostRingSubmitCycles);
   size_t bytes = data.size();
   server_->pcie().Dma(bytes, [socket, data = std::move(data)]() mutable {
     socket->connection()->Send(data.span());
@@ -163,9 +162,9 @@ NeSocket* NetworkEngine::Connect(netsub::NodeId remote, uint16_t port) {
 }
 
 void NetworkEngine::Listen(uint16_t port,
-                           std::function<void(NeSocket*)> on_accept) {
+                           UniqueFunction<void(NeSocket*)> on_accept) {
   tcp_->Listen(port, [this, on_accept = std::move(on_accept)](
-                         netsub::TcpConnection* conn) {
+                         netsub::TcpConnection* conn) mutable {
     on_accept(WrapConnection(conn));
   });
 }

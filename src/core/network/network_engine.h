@@ -15,11 +15,11 @@
 #define DPDPU_CORE_NETWORK_NETWORK_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "core/network/rdma_offload.h"
 #include "hw/machine.h"
@@ -55,8 +55,8 @@ enum class SocketLanding : uint8_t { kHost, kDpu };
 
 class NeSocket {
  public:
-  using ReceiveCallback = std::function<void(ByteSpan)>;
-  using CloseCallback = std::function<void()>;
+  using ReceiveCallback = UniqueFunction<void(ByteSpan)>;
+  using CloseCallback = UniqueFunction<void()>;
 
   /// Queues bytes for transmission. Host-side cost depends on the mode
   /// and landing.
@@ -126,7 +126,7 @@ class NetworkEngine {
   // --- TCP front-end -------------------------------------------------------
 
   NeSocket* Connect(netsub::NodeId remote, uint16_t port);
-  void Listen(uint16_t port, std::function<void(NeSocket*)> on_accept);
+  void Listen(uint16_t port, UniqueFunction<void(NeSocket*)> on_accept);
 
   // --- RDMA ---------------------------------------------------------------
 

@@ -15,10 +15,10 @@
 #define DPDPU_CORE_NETWORK_RDMA_FLOW_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "core/network/rdma_offload.h"
 #include "netsub/rdma.h"
 
@@ -52,7 +52,7 @@ class RdmaFlowWriter {
 
 class RdmaFlowReader {
  public:
-  using RecordCallback = std::function<void(ByteSpan)>;
+  using RecordCallback = UniqueFunction<void(ByteSpan)>;
 
   /// Registers `slots` receive buffers of `slot_bytes` each on `nic` and
   /// pre-posts them on `endpoint`.

@@ -17,7 +17,7 @@ void NativeRdmaEndpoint::ChargeIssue() {
   sim::SimTime t =
       server_->host_cpu().CyclesToTime(cal::kRdmaNativeIssueCycles) +
       cal::kRdmaDoorbellStallNs;
-  server_->host_cpu().ExecuteFor(t, UniqueFunction([] {}));
+  server_->host_cpu().ExecuteFor(t);
 }
 
 Status NativeRdmaEndpoint::Read(uint64_t wr_id, netsub::MrKey local,
@@ -47,8 +47,7 @@ Status NativeRdmaEndpoint::Recv(uint64_t wr_id, netsub::MrKey local,
 
 bool NativeRdmaEndpoint::PollCompletion(netsub::RdmaCompletion* out) {
   if (!qp_->cq().Poll(out)) return false;
-  server_->host_cpu().Execute(cal::kRdmaHostCompletionCycles,
-                              UniqueFunction([] {}));
+  server_->host_cpu().Execute(cal::kRdmaHostCompletionCycles);
   return true;
 }
 
@@ -56,10 +55,9 @@ bool NativeRdmaEndpoint::PollCompletion(netsub::RdmaCompletion* out) {
 // OffloadedRdmaEndpoint.
 // ---------------------------------------------------------------------------
 
-void OffloadedRdmaEndpoint::SubmitThroughRing(UniqueFunction post) {
+void OffloadedRdmaEndpoint::SubmitThroughRing(UniqueFunction<void()> post) {
   // Host: lock-free ring write only.
-  server_->host_cpu().Execute(cal::kHostRingSubmitCycles,
-                              UniqueFunction([] {}));
+  server_->host_cpu().Execute(cal::kHostRingSubmitCycles);
   // DPU DMA engine polls the ring: one PCIe crossing to see the entry,
   // then a DPU core builds and issues the wire op.
   sim::Simulator* sim = server_->simulator();
@@ -147,8 +145,7 @@ bool OffloadedRdmaEndpoint::PollCompletion(netsub::RdmaCompletion* out) {
                    sim::AccessKind::kCommutativeWrite);
   *out = host_completions_.front();
   host_completions_.pop_front();
-  server_->host_cpu().Execute(cal::kHostRingPollCycles,
-                              UniqueFunction([] {}));
+  server_->host_cpu().Execute(cal::kHostRingPollCycles);
   return true;
 }
 

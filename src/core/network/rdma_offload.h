@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 
+#include "common/function.h"
 #include "common/result.h"
 #include "hw/machine.h"
 #include "netsub/rdma.h"
@@ -45,7 +46,7 @@ class RdmaEndpoint {
 
   /// Event hook: fires when a completion becomes reapable (so consumers
   /// need not spin-poll inside the simulation).
-  virtual void SetCompletionNotify(std::function<void()> notify) = 0;
+  virtual void SetCompletionNotify(UniqueFunction<void()> notify) = 0;
 
   virtual RdmaPath path() const = 0;
 };
@@ -64,7 +65,7 @@ class NativeRdmaEndpoint final : public RdmaEndpoint {
   Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
               size_t capacity) override;
   bool PollCompletion(netsub::RdmaCompletion* out) override;
-  void SetCompletionNotify(std::function<void()> notify) override {
+  void SetCompletionNotify(UniqueFunction<void()> notify) override {
     qp_->cq().SetNotify(std::move(notify));
   }
   RdmaPath path() const override { return RdmaPath::kNative; }
@@ -93,14 +94,14 @@ class OffloadedRdmaEndpoint final : public RdmaEndpoint {
   Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
               size_t capacity) override;
   bool PollCompletion(netsub::RdmaCompletion* out) override;
-  void SetCompletionNotify(std::function<void()> notify) override {
+  void SetCompletionNotify(UniqueFunction<void()> notify) override {
     notify_ = std::move(notify);
   }
   RdmaPath path() const override { return RdmaPath::kDpuOffloaded; }
 
  private:
   /// Host ring submit + DPU DMA-poll + DPU issue, then `post` on the QP.
-  void SubmitThroughRing(UniqueFunction post);
+  void SubmitThroughRing(UniqueFunction<void()> post);
   void DrainDeviceCompletions();
   /// Single producer-side door into host_completions_ — every stage
   /// (device-post failure, DMA'ed-back completion) lands here so the
@@ -111,7 +112,7 @@ class OffloadedRdmaEndpoint final : public RdmaEndpoint {
   netsub::QueuePair* qp_;
   /// Host-visible completion ring (entries already DMA'ed back).
   std::deque<netsub::RdmaCompletion> host_completions_;
-  std::function<void()> notify_;
+  UniqueFunction<void()> notify_;
   /// Pushes arrive from independent DMA events, pops from the host poll
   /// loop; wr_ids make entries order-free for consumers, so the deque
   /// motion commutes.

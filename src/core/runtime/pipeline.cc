@@ -22,6 +22,7 @@ void BatchPipeline::RunStage(size_t stage, std::vector<Buffer> items,
   struct BatchState {
     std::vector<Result<Buffer>> results;
     size_t remaining;
+    DoneFn done;
   };
   auto state = std::make_shared<BatchState>();
   size_t n = items.size();
@@ -34,9 +35,10 @@ void BatchPipeline::RunStage(size_t stage, std::vector<Buffer> items,
     done({});
     return;
   }
+  state->done = std::move(done);
   for (size_t i = 0; i < n; ++i) {
     stages_[stage](std::move(items[i]),
-                   [this, stage, state, i, done](Result<Buffer> out) {
+                   [this, stage, state, i](Result<Buffer> out) {
                      state->results[i] = std::move(out);
                      if (--state->remaining > 0) return;
                      // Barrier reached: carry successes forward.
@@ -45,7 +47,8 @@ void BatchPipeline::RunStage(size_t stage, std::vector<Buffer> items,
                      for (Result<Buffer>& r : state->results) {
                        if (r.ok()) next.push_back(std::move(r).value());
                      }
-                     RunStage(stage + 1, std::move(next), done);
+                     RunStage(stage + 1, std::move(next),
+                              std::move(state->done));
                    });
   }
 }

@@ -11,10 +11,10 @@
 #define DPDPU_CORE_RUNTIME_PIPELINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "sim/simrace.h"
 
@@ -23,12 +23,12 @@ namespace dpdpu::rt {
 /// One asynchronous stage: consume an item, call `done` with the output
 /// (possibly later, from a simulation event).
 using StageFn =
-    std::function<void(Buffer, std::function<void(Result<Buffer>)>)>;
+    UniqueFunction<void(Buffer, UniqueFunction<void(Result<Buffer>)>)>;
 
 /// Streamed pipeline: items progress independently through stages.
 class Pipeline {
  public:
-  using OutputFn = std::function<void(Result<Buffer>)>;
+  using OutputFn = UniqueFunction<void(Result<Buffer>)>;
 
   Pipeline& AddStage(StageFn stage) {
     stages_.push_back(std::move(stage));
@@ -89,7 +89,7 @@ class Pipeline {
 /// every item. Same stage functions, no overlap.
 class BatchPipeline {
  public:
-  using DoneFn = std::function<void(std::vector<Result<Buffer>>)>;
+  using DoneFn = UniqueFunction<void(std::vector<Result<Buffer>>)>;
 
   BatchPipeline& AddStage(StageFn stage) {
     stages_.push_back(std::move(stage));

@@ -40,10 +40,10 @@ void FileService::ResizeCache(uint64_t bytes) {
 
 void FileService::CreateAsync(
     const std::string& name,
-    std::function<void(Result<fssub::FileId>)> cb) {
+    UniqueFunction<void(Result<fssub::FileId>)> cb) {
   server_->dpu_cpu().Execute(
       cal::kSpdkCyclesPerIo,
-      [this, name, cb = std::move(cb)] {
+      [this, name, cb = std::move(cb)]() mutable {
         reactor_.Step();
         cb(fs_->Create(name));
       });
@@ -131,11 +131,11 @@ void FileService::ReadAsync(fssub::FileId file, uint64_t offset,
             aligned_off);
         server_->ssd().SubmitRead(
             aligned_len, [this, file, offset, length, aligned_off,
-                          aligned_len, cb = std::move(cb)] {
+                          aligned_len, cb = std::move(cb)]() mutable {
               server_->pcie().Dma(
                   aligned_len,
                   [this, file, offset, length, aligned_off,
-                   cb = std::move(cb)] {
+                   cb = std::move(cb)]() mutable {
                     reactor_.Step();
                     uint32_t aligned_len_again = static_cast<uint32_t>(
                         (offset + length + kCachePageBytes - 1) /
@@ -204,7 +204,7 @@ void FileService::WriteAsync(fssub::FileId file, uint64_t offset,
         }
         server_->ssd().SubmitWrite(
             bytes, [this, file, offset, data = std::move(data),
-                    cb = std::move(cb)] {
+                    cb = std::move(cb)]() mutable {
               reactor_.Step();
               // Invalidate again at completion: a read that raced this
               // write through the SSD queue may have re-populated the

@@ -8,11 +8,11 @@
 #define DPDPU_CORE_STORAGE_FILE_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "fssub/dpufs.h"
 #include "fssub/page_cache.h"
@@ -39,8 +39,8 @@ struct FileServiceStats {
 
 class FileService {
  public:
-  using ReadCallback = std::function<void(Result<Buffer>)>;
-  using WriteCallback = std::function<void(Status)>;
+  using ReadCallback = UniqueFunction<void(Result<Buffer>)>;
+  using WriteCallback = UniqueFunction<void(Status)>;
 
   /// `dpu_cache_bytes` is allocated from the server's DPU memory pool —
   /// the 16 GB constraint the paper's partial-offload argument rests on.
@@ -56,7 +56,7 @@ class FileService {
 
   /// Namespace operations execute on a DPU core.
   void CreateAsync(const std::string& name,
-                   std::function<void(Result<fssub::FileId>)> cb);
+                   UniqueFunction<void(Result<fssub::FileId>)> cb);
   Result<fssub::FileId> Lookup(const std::string& name) const {
     return fs_->Lookup(name);
   }

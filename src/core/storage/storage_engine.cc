@@ -102,7 +102,7 @@ Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload) {
 }
 
 FileService::WriteCallback AckWrite(ReplyFn reply) {
-  return [reply = std::move(reply)](Status s) {
+  return [reply = std::move(reply)](Status s) mutable {
     if (s.ok()) {
       reply(Buffer());
     } else {
@@ -147,7 +147,7 @@ uint64_t VersionMap::Lookup(fssub::FileId file, uint64_t offset) const {
 
 void HostFileClient::Create(
     const std::string& name,
-    std::function<void(Result<fssub::FileId>)> cb) {
+    UniqueFunction<void(Result<fssub::FileId>)> cb) {
   server_->host_cpu().Execute(
       cal::kHostRingSubmitCycles,
       [this, name, cb = std::move(cb)]() mutable {
@@ -227,7 +227,8 @@ void HostFileClient::Read(fssub::FileId file, uint64_t offset,
         server_->host_cpu().CyclesToTime(cal::kLinuxStorageStackCyclesPerIo),
         [this, file, offset, length, cb = std::move(cb)]() mutable {
           server_->ssd().SubmitRead(
-              length, [this, file, offset, length, cb = std::move(cb)] {
+              length,
+              [this, file, offset, length, cb = std::move(cb)]() mutable {
                 cb(files_->fs().Read(file, offset, length));
               });
         });
@@ -278,7 +279,7 @@ void HostFileClient::Write(fssub::FileId file, uint64_t offset, Buffer data,
           size_t bytes = data.size();
           server_->ssd().SubmitWrite(
               bytes, [this, file, offset, data = std::move(data),
-                      cb = std::move(cb)] {
+                      cb = std::move(cb)]() mutable {
                 cb(files_->fs().Write(file, offset, data.span()));
               });
         });
@@ -297,7 +298,7 @@ void HostFileClient::Write(fssub::FileId file, uint64_t offset, Buffer data,
                   [this, cb = std::move(cb)](Status s) mutable {
                     server_->host_cpu().Execute(
                         cal::kHostRingPollCycles,
-                        [cb = std::move(cb), s] { cb(s); });
+                        [cb = std::move(cb), s]() mutable { cb(s); });
                   });
             });
       });
@@ -492,7 +493,7 @@ void RemoteStorageClient::Read(fssub::FileId file, uint64_t offset,
 }
 
 void RemoteStorageClient::Write(fssub::FileId file, uint64_t offset,
-                                Buffer data, std::function<void(Status)> cb,
+                                Buffer data, UniqueFunction<void(Status)> cb,
                                 uint8_t flags, uint64_t version) {
   RemoteRequest request;
   request.op = RemoteOp::kWrite;
@@ -502,7 +503,7 @@ void RemoteStorageClient::Write(fssub::FileId file, uint64_t offset,
   request.flags = flags;
   request.version = version;
   Call(std::move(request),
-       [cb = std::move(cb)](Result<Buffer> ack, uint64_t) {
+       [cb = std::move(cb)](Result<Buffer> ack, uint64_t) mutable {
          cb(ack.status());
        });
 }

@@ -17,13 +17,13 @@
 #define DPDPU_CORE_STORAGE_STORAGE_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "core/network/flow.h"
 #include "core/network/network_engine.h"
@@ -82,7 +82,7 @@ Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload);
 /// Server-side reply continuation: the response payload (read data, or
 /// empty for a write ack) or the failure. Only StorageEngine turns it
 /// into a wire response (tag, version, encoding).
-using ReplyFn = std::function<void(Result<Buffer>)>;
+using ReplyFn = UniqueFunction<void(Result<Buffer>)>;
 
 /// Adapts a reply to a write completion: success acks with an empty
 /// payload, a failed Status fails the request.
@@ -148,7 +148,7 @@ class VersionMap {
 class TrafficDirector {
  public:
   /// Returns true when the request may be served on the DPU.
-  using Classifier = std::function<bool(const RemoteRequest&)>;
+  using Classifier = UniqueFunction<bool(const RemoteRequest&)>;
 
   TrafficDirector(hw::Server* server, Classifier classifier)
       : server_(server), classifier_(std::move(classifier)) {}
@@ -179,7 +179,7 @@ class TrafficDirector {
 /// file operation; the default UDF handles the built-in protocol.
 class OffloadEngine {
  public:
-  using Udf = std::function<Result<RemoteRequest>(const RemoteRequest&)>;
+  using Udf = UniqueFunction<Result<RemoteRequest>(const RemoteRequest&)>;
 
   OffloadEngine(hw::Server* server, FileService* files)
       : server_(server), files_(files) {}
@@ -227,7 +227,7 @@ class HostFileClient {
   ~HostFileClient();
 
   void Create(const std::string& name,
-              std::function<void(Result<fssub::FileId>)> cb);
+              UniqueFunction<void(Result<fssub::FileId>)> cb);
   Result<fssub::FileId> Open(const std::string& name) const {
     return files_->Lookup(name);
   }
@@ -273,7 +273,7 @@ class StorageEngine {
   /// Fires when a request routed to the host completes its host-side
   /// processing; the handler replies with the response payload or the
   /// failure.
-  using HostHandler = std::function<void(RemoteRequest, ReplyFn)>;
+  using HostHandler = UniqueFunction<void(RemoteRequest, ReplyFn)>;
 
   StorageEngine(hw::Server* server, ne::NetworkEngine* network,
                 fssub::DpuFs* fs, StorageEngineOptions options = {});
@@ -322,7 +322,7 @@ class RemoteStorageClient {
   /// Read completion: the data and the block version the server served.
   /// The version is 0 unless the request carried kRequestFlagVersioned,
   /// the block was versioned-written, and the read succeeded.
-  using ReadCallback = std::function<void(Result<Buffer>, uint64_t)>;
+  using ReadCallback = UniqueFunction<void(Result<Buffer>, uint64_t)>;
 
   RemoteStorageClient(ne::NetworkEngine* network, netsub::NodeId server,
                       uint16_t port);
@@ -335,7 +335,7 @@ class RemoteStorageClient {
   /// in its VersionMap and suppresses the write if it already holds
   /// something newer; without it `version` is not sent.
   void Write(fssub::FileId file, uint64_t offset, Buffer data,
-             std::function<void(Status)> cb, uint8_t flags = 0,
+             UniqueFunction<void(Status)> cb, uint8_t flags = 0,
              uint64_t version = 0);
 
   uint64_t requests_outstanding() const { return pending_.size(); }

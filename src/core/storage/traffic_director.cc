@@ -6,8 +6,7 @@ namespace dpdpu::se {
 TrafficDirector::Route TrafficDirector::Classify(
     const RemoteRequest& request) {
   // The decision runs on the DPU data path for every request packet.
-  server_->dpu_cpu().Execute(hw::cal::kTrafficDirectorCyclesPerPacket,
-                             UniqueFunction([] {}));
+  server_->dpu_cpu().Execute(hw::cal::kTrafficDirectorCyclesPerPacket);
   bool offloadable = classifier_ ? classifier_(request)
                                  : (request.flags &
                                     kRequestFlagRequiresHost) == 0;

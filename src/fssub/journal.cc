@@ -52,7 +52,7 @@ Status Journal::Append(uint64_t seq, ByteSpan payload) {
 
 Result<uint64_t> Journal::Replay(
     uint64_t start_seq,
-    const std::function<void(uint64_t seq, ByteSpan)>& apply) const {
+    UniqueFunction<void(uint64_t seq, ByteSpan)> apply) const {
   // Read the journal region from the device (the shadow may be stale
   // relative to a crashed instance).
   uint32_t bs = device_->block_size();

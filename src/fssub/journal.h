@@ -7,10 +7,10 @@
 #define DPDPU_FSSUB_JOURNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "fssub/block_device.h"
 
@@ -31,8 +31,8 @@ class Journal {
   /// Replays records with seq >= start_seq, in append order, stopping
   /// cleanly at the first invalid record. Returns the number replayed.
   Result<uint64_t> Replay(uint64_t start_seq,
-                          const std::function<void(uint64_t seq, ByteSpan)>&
-                              apply) const;
+                          UniqueFunction<void(uint64_t seq, ByteSpan)> apply)
+      const;
 
   /// Logically clears the journal (rewinds the append cursor and writes a
   /// terminator so stale records do not replay).

@@ -54,7 +54,7 @@ class Accelerator {
   }
 
   /// Submits a `bytes`-sized job; `done` fires at completion.
-  void SubmitJob(uint64_t bytes, UniqueFunction done) {
+  void SubmitJob(uint64_t bytes, UniqueFunction<void()> done) {
     resource_.Submit(JobTime(bytes), std::move(done));
   }
 

@@ -51,13 +51,14 @@ class CpuCluster {
         static_cast<uint64_t>(double(bytes) * cycles_per_byte + 0.5));
   }
 
-  /// Runs `ref_cycles` of work on the next free core, then `done`.
-  void Execute(uint64_t ref_cycles, UniqueFunction done) {
+  /// Runs `ref_cycles` of work on the next free core, then `done` (may
+  /// be empty: the work only occupies the core).
+  void Execute(uint64_t ref_cycles, UniqueFunction<void()> done = {}) {
     resource_.Submit(CyclesToTime(ref_cycles), std::move(done));
   }
 
   /// Runs work specified directly as virtual time (e.g. precomputed).
-  void ExecuteFor(sim::SimTime t, UniqueFunction done) {
+  void ExecuteFor(sim::SimTime t, UniqueFunction<void()> done = {}) {
     resource_.Submit(t, std::move(done));
   }
 

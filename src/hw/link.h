@@ -25,7 +25,7 @@ struct NicSpec {
 class NicPort {
  public:
   NicPort(sim::Simulator* sim, std::string name, NicSpec spec)
-      : spec_(spec), sim_(sim), wire_(sim, std::move(name), 1) {}
+      : spec_(spec), wire_(sim, std::move(name), 1) {}
 
   const NicSpec& spec() const { return spec_; }
 
@@ -37,13 +37,11 @@ class NicPort {
 
   /// Transmits `bytes`; `delivered` fires when the last bit lands at the
   /// far end (serialization + propagation).
-  void Transmit(uint64_t bytes, UniqueFunction delivered) {
+  void Transmit(uint64_t bytes, UniqueFunction<void()> delivered) {
     bytes_sent_ += bytes;
     ++frames_sent_;
-    wire_.Submit(SerializationTime(bytes),
-                 [this, cb = std::move(delivered)]() mutable {
-                   sim_->Schedule(spec_.propagation_ns, std::move(cb));
-                 });
+    wire_.Submit(SerializationTime(bytes), std::move(delivered),
+                 spec_.propagation_ns);
   }
 
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -54,7 +52,6 @@ class NicPort {
 
  private:
   NicSpec spec_;
-  sim::Simulator* sim_;
   sim::Resource wire_;
   uint64_t bytes_sent_ = 0;
   uint64_t frames_sent_ = 0;
@@ -70,7 +67,7 @@ struct PcieSpec {
 class PcieLink {
  public:
   PcieLink(sim::Simulator* sim, std::string name, PcieSpec spec)
-      : spec_(spec), sim_(sim), lane_(sim, std::move(name), 1) {}
+      : spec_(spec), lane_(sim, std::move(name), 1) {}
 
   const PcieSpec& spec() const { return spec_; }
 
@@ -81,13 +78,10 @@ class PcieLink {
   }
 
   /// Moves `bytes` across the link; `done` fires when the transfer lands.
-  void Dma(uint64_t bytes, UniqueFunction done) {
+  void Dma(uint64_t bytes, UniqueFunction<void()> done) {
     bytes_moved_ += bytes;
     ++transfers_;
-    lane_.Submit(TransferTime(bytes),
-                 [this, cb = std::move(done)]() mutable {
-                   sim_->Schedule(spec_.latency_ns, std::move(cb));
-                 });
+    lane_.Submit(TransferTime(bytes), std::move(done), spec_.latency_ns);
   }
 
   uint64_t bytes_moved() const { return bytes_moved_; }
@@ -95,7 +89,6 @@ class PcieLink {
 
  private:
   PcieSpec spec_;
-  sim::Simulator* sim_;
   sim::Resource lane_;
   uint64_t bytes_moved_ = 0;
   uint64_t transfers_ = 0;

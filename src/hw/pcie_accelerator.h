@@ -51,7 +51,7 @@ class PcieAccelerator {
   }
 
   void SubmitJob(uint64_t bytes, double cycles_per_byte,
-                 UniqueFunction done) {
+                 UniqueFunction<void()> done) {
     contexts_.Submit(JobTime(bytes, cycles_per_byte), std::move(done));
   }
 

@@ -35,7 +35,7 @@ class SsdDevice {
                      double(bytes) / spec_.internal_bytes_per_sec * 1e9 + 0.5);
   }
 
-  void SubmitRead(uint64_t bytes, UniqueFunction done) {
+  void SubmitRead(uint64_t bytes, UniqueFunction<void()> done) {
     // Op counters commute; queue-order fairness under same-tick submits
     // is the Resource's concern (its grants carry the HB edges).
     DPDPU_SIM_ACCESS(race_tag_, "SsdDevice", /*key=*/0,
@@ -44,7 +44,7 @@ class SsdDevice {
     channels_.Submit(OpTime(false, bytes), std::move(done));
   }
 
-  void SubmitWrite(uint64_t bytes, UniqueFunction done) {
+  void SubmitWrite(uint64_t bytes, UniqueFunction<void()> done) {
     DPDPU_SIM_ACCESS(race_tag_, "SsdDevice", /*key=*/0,
                      sim::AccessKind::kCommutativeWrite);
     ++writes_;

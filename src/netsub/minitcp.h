@@ -14,11 +14,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "netsub/network.h"
 #include "sim/simulator.h"
 
@@ -58,8 +58,8 @@ class TcpStack;
 /// One direction-agnostic TCP connection.
 class TcpConnection {
  public:
-  using ReceiveCallback = std::function<void(ByteSpan)>;
-  using CloseCallback = std::function<void()>;
+  using ReceiveCallback = UniqueFunction<void(ByteSpan)>;
+  using CloseCallback = UniqueFunction<void()>;
 
   /// Queues bytes for transmission (copies them once into the send queue).
   void Send(ByteSpan data);
@@ -212,7 +212,7 @@ class TcpConnection {
 /// Per-node TCP endpoint: demultiplexes connections, owns their memory.
 class TcpStack {
  public:
-  using AcceptCallback = std::function<void(TcpConnection*)>;
+  using AcceptCallback = UniqueFunction<void(TcpConnection*)>;
 
   TcpStack(sim::Simulator* sim, Network* network, NodeId node,
            TcpConfig config = {});
@@ -230,7 +230,7 @@ class TcpStack {
   /// Segment-level instrumentation: fires for every segment sent (`rx`
   /// false) or received (`rx` true) with its wire size. The Network
   /// Engine charges CPU-cost models here.
-  using SegmentHook = std::function<void(size_t wire_bytes, bool rx)>;
+  using SegmentHook = UniqueFunction<void(size_t wire_bytes, bool rx)>;
   void SetSegmentHook(SegmentHook hook) { segment_hook_ = std::move(hook); }
 
   NodeId node() const { return node_; }

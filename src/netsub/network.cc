@@ -37,7 +37,8 @@ void Network::Send(Packet packet) {
   // A lost frame still occupies the wire and is counted as dropped when
   // it would have landed. The delivery closure captures only `this` and
   // the packet so it fits UniqueFunction's inline storage.
-  static_assert(sizeof(void*) + sizeof(Packet) <= UniqueFunction::kInlineSize);
+  static_assert(sizeof(void*) + sizeof(Packet) <=
+                UniqueFunction<void()>::kInlineSize);
   hw::NicPort* nic = src_it->second.nic;
   size_t wire = packet.wire_size();
   if (lost) {

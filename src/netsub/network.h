@@ -6,12 +6,12 @@
 #define DPDPU_NETSUB_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/rng.h"
 #include "hw/link.h"
 #include "sim/simulator.h"
@@ -42,7 +42,7 @@ inline constexpr uint16_t kPacketKindRdma = 2;
 /// drops).
 class Network {
  public:
-  using RxHandler = std::function<void(Packet)>;
+  using RxHandler = UniqueFunction<void(Packet)>;
 
   explicit Network(sim::Simulator* sim) : sim_(sim), loss_rng_(1) {}
 

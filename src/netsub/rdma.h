@@ -14,13 +14,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/function.h"
 #include "common/result.h"
 #include "netsub/network.h"
 #include "sim/simulator.h"
@@ -55,7 +55,7 @@ class CompletionQueue {
   size_t pending() const { return entries_.size(); }
 
   /// Fires on every completion push (after it is queued).
-  void SetNotify(std::function<void()> notify) { notify_ = std::move(notify); }
+  void SetNotify(UniqueFunction<void()> notify) { notify_ = std::move(notify); }
 
   void Push(RdmaCompletion c) {
     DPDPU_SIM_ACCESS(race_tag_, "netsub::CompletionQueue", /*key=*/0,
@@ -66,7 +66,7 @@ class CompletionQueue {
 
  private:
   std::deque<RdmaCompletion> entries_;
-  std::function<void()> notify_;
+  UniqueFunction<void()> notify_;
   /// Pushes arrive from independent wire events, polls from the
   /// consumer's drain; completions carry wr_ids, so queue order is
   /// protocol-irrelevant and the motion commutes.

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -57,36 +58,35 @@ class Resource {
   const Histogram& wait_histogram() const { return wait_hist_; }
 
   /// Submits a job needing `service_time` ns of a server. `on_complete`
-  /// runs at completion (may be empty).
-  void Submit(SimTime service_time, UniqueFunction on_complete) {
+  /// (may be empty) runs at completion or, with a `latency`, is scheduled
+  /// from the completion event to run `*latency` ns later (a link's
+  /// propagation delay, even when zero).
+  void Submit(SimTime service_time, UniqueFunction<void()> on_complete = {},
+              std::optional<SimTime> latency = std::nullopt) {
     if (busy_ < capacity_) {
-      StartJob(service_time, std::move(on_complete), /*waited=*/0);
+      StartJob(service_time, std::move(on_complete), latency, /*waited=*/0);
     } else {
       // Queued jobs carry the submitting event's identity so the later
       // grant (StartJob from FinishJob) is causally ordered after the
       // submission — the FIFO-grant happens-before edge for simrace.
       HbToken token;
       if (RaceChecker* rc = RaceChecker::Current()) token = rc->Publish();
-      queue_.push_back(Pending{service_time, std::move(on_complete),
+      queue_.push_back(Pending{service_time, std::move(on_complete), latency,
                                sim_->now(), token});
     }
-  }
-
-  /// Convenience overload without a completion callback.
-  void Submit(SimTime service_time) {
-    Submit(service_time, UniqueFunction([] {}));
   }
 
  private:
   struct Pending {
     SimTime service_time;
-    UniqueFunction on_complete;
+    UniqueFunction<void()> on_complete;
+    std::optional<SimTime> latency;
     SimTime enqueue_time;
     HbToken submit_token;  // submit happens-before grant
   };
 
-  void StartJob(SimTime service_time, UniqueFunction on_complete,
-                SimTime waited) {
+  void StartJob(SimTime service_time, UniqueFunction<void()> on_complete,
+                std::optional<SimTime> latency, SimTime waited) {
     ++busy_;
     busy_time_ += service_time;
     wait_hist_.Add(waited);
@@ -94,9 +94,14 @@ class Resource {
     // model drains the simulator before destruction.
     // simlint:allow(R6): Resource outlives the drained event heap
     sim_->Schedule(service_time,
-                   [this, cb = std::move(on_complete)]() mutable {
+                   [this, cb = std::move(on_complete), latency]() mutable {
                      FinishJob();
-                     if (cb) cb();
+                     if (!cb) return;
+                     if (latency.has_value()) {
+                       sim_->Schedule(*latency, std::move(cb));
+                     } else {
+                       cb();
+                     }
                    });
   }
 
@@ -108,7 +113,7 @@ class Resource {
       Pending p = std::move(queue_.front());
       queue_.pop_front();
       if (RaceChecker* rc = RaceChecker::Current()) rc->Consume(p.submit_token);
-      StartJob(p.service_time, std::move(p.on_complete),
+      StartJob(p.service_time, std::move(p.on_complete), p.latency,
                sim_->now() - p.enqueue_time);
     }
   }

@@ -39,11 +39,11 @@
 #define DPDPU_SIM_SIMEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/function.h"
 #include "sim/simulator.h"
 
 namespace dpdpu::sim {
@@ -78,7 +78,7 @@ struct ScenarioResult {
 /// A scenario builds a world inside the given fresh Simulator, runs it
 /// (sim.Run() / RunFor), and reports. It must be a pure function of the
 /// simulator's schedule: same choices in, same result out.
-using Scenario = std::function<ScenarioResult(Simulator&)>;
+using Scenario = UniqueFunction<ScenarioResult(Simulator&)>;
 
 /// Everything observed during one schedule.
 struct RunRecord {

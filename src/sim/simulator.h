@@ -110,12 +110,12 @@ class Simulator {
   size_t pending() const { return heap_.size(); }
 
   /// Schedules `fn` to run `delay` ns from now.
-  void Schedule(SimTime delay, UniqueFunction fn) {
+  void Schedule(SimTime delay, UniqueFunction<void()> fn) {
     ScheduleAt(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at absolute time `t`; t must be >= now().
-  void ScheduleAt(SimTime t, UniqueFunction fn) {
+  void ScheduleAt(SimTime t, UniqueFunction<void()> fn) {
     DPDPU_CHECK(t >= now_);
     uint64_t seq = next_seq_++;
     if (race_) race_->OnSchedule(seq, t, current_event_);
@@ -211,7 +211,7 @@ class Simulator {
     uint64_t tie;
     uint64_t seq;
     uint64_t parent;  // event executing when this one was scheduled
-    UniqueFunction fn;
+    UniqueFunction<void()> fn;
 
     // Min-heap on (time, tie, seq) via std::push_heap's max-heap
     // comparator; seq last keeps the order total for every policy.
@@ -300,14 +300,13 @@ class PeriodicTask {
   /// exactly once: each tick schedules a shared_ptr-sized closure (inline
   /// in UniqueFunction's small buffer), so a long-running sampler costs
   /// no per-tick callback re-wrapping or allocation.
-  template <typename F>
-  void Start(Simulator* sim, SimTime interval, F&& fn) {
+  void Start(Simulator* sim, SimTime interval, UniqueFunction<void()> fn) {
     DPDPU_CHECK(interval > 0);
     Cancel();
     heart_ = std::make_shared<Heart>();
     heart_->sim = sim;
     heart_->interval = interval;
-    heart_->fn = UniqueFunction(std::forward<F>(fn));
+    heart_->fn = std::move(fn);
     ScheduleNext(heart_);
   }
 
@@ -324,7 +323,7 @@ class PeriodicTask {
   struct Heart {
     Simulator* sim = nullptr;
     SimTime interval = 0;
-    UniqueFunction fn;
+    UniqueFunction<void()> fn;
     bool alive = true;
   };
 

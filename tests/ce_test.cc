@@ -294,7 +294,7 @@ TEST(AdmissionQueueTest, FcfsOrder) {
   q.Push(0, 100, [&] { order.push_back(0); });
   q.Push(1, 100, [&] { order.push_back(1); });
   q.Push(0, 100, [&] { order.push_back(2); });
-  UniqueFunction fn;
+  UniqueFunction<void()> fn;
   while (q.Pop(&fn)) fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -308,7 +308,7 @@ TEST(AdmissionQueueTest, DrrInterleavesTenants) {
   for (int i = 0; i < 4; ++i) {
     q.Push(1, 1000, [&order] { order.push_back(1); });
   }
-  UniqueFunction fn;
+  UniqueFunction<void()> fn;
   while (q.Pop(&fn)) fn();
   ASSERT_EQ(order.size(), 8u);
   // Both tenants appear within the first three dispatches.
@@ -325,7 +325,7 @@ TEST(AdmissionQueueTest, DrrHandlesWeightsAboveQuantum) {
   int dispatched = 0;
   q.Push(0, 5000, [&] { ++dispatched; });  // 50 quanta needed
   q.Push(1, 100, [&] { ++dispatched; });
-  UniqueFunction fn;
+  UniqueFunction<void()> fn;
   while (q.Pop(&fn)) fn();
   EXPECT_EQ(dispatched, 2);
 }

@@ -249,6 +249,32 @@ TEST(FleetTest, HardFailureRecoversViaTimeoutResteer) {
   EXPECT_GT(fleet.fabric().packets_dropped_node_down(), 0u);
 }
 
+// IssueRead/IssueWrite report each op's outcome through their one done
+// callback: ok while a replica answers, not ok once every replica in the
+// key's preference list is down.
+TEST(FleetTest, DoneReportsFailureWhenEveryReplicaIsDown) {
+  sim::Simulator sim;
+  Fleet fleet(&sim, SmallFleetSpec(2, 1, 2));
+  FleetClient client(&fleet, 0, SmallWorkload());
+  std::vector<bool> outcomes;
+  auto record = [&outcomes](bool ok) { outcomes.push_back(ok); };
+
+  constexpr uint64_t kKey = 5;
+  client.IssueWrite(kKey, record);
+  sim.Run();
+  client.IssueRead(kKey, record);
+  sim.Run();
+  fleet.FailStorageNode(0, FailMode::kGraceful);
+  fleet.FailStorageNode(1, FailMode::kGraceful);
+  client.IssueWrite(kKey, record);
+  client.IssueRead(kKey, record);
+  sim.Run();
+
+  EXPECT_EQ(outcomes, (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(client.stats().completed, 2u);
+  EXPECT_EQ(client.stats().failed, 2u);
+}
+
 TEST(FleetTest, UsageAggregatesAndTimelineSamples) {
   sim::Simulator sim;
   FleetSpec spec = SmallFleetSpec(2, 2, 1);

@@ -379,21 +379,21 @@ TEST(MetricSetTest, AddSetGet) {
 TEST(UniqueFunctionTest, CapturesMoveOnlyState) {
   auto p = std::make_unique<int>(31);
   int got = 0;
-  UniqueFunction f([p = std::move(p), &got] { got = *p; });
+  UniqueFunction<void()> f([p = std::move(p), &got] { got = *p; });
   ASSERT_TRUE(static_cast<bool>(f));
   f();
   EXPECT_EQ(got, 31);
 }
 
 TEST(UniqueFunctionTest, EmptyIsFalse) {
-  UniqueFunction f;
+  UniqueFunction<void()> f;
   EXPECT_FALSE(static_cast<bool>(f));
 }
 
 TEST(UniqueFunctionTest, MoveTransfersOwnership) {
   int calls = 0;
-  UniqueFunction a([&calls] { ++calls; });
-  UniqueFunction b = std::move(a);
+  UniqueFunction<void()> a([&calls] { ++calls; });
+  UniqueFunction<void()> b = std::move(a);
   EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
   b();
   EXPECT_EQ(calls, 1);
@@ -401,22 +401,22 @@ TEST(UniqueFunctionTest, MoveTransfersOwnership) {
 
 TEST(UniqueFunctionTest, SmallCaptureStaysInline) {
   int x = 7;
-  UniqueFunction f([&x] { ++x; });
+  UniqueFunction<void()> f([&x] { ++x; });
   EXPECT_TRUE(f.is_inline());
   f();
   EXPECT_EQ(x, 8);
 
   // A capture right at the inline budget still fits.
-  std::array<char, UniqueFunction::kInlineSize> big{};
+  std::array<char, UniqueFunction<void()>::kInlineSize> big{};
   big[0] = 3;
   int got = 0;
-  UniqueFunction g([big, &got] { got = big[0]; });
-  static_assert(sizeof(big) == UniqueFunction::kInlineSize);
+  UniqueFunction<void()> g([big, &got] { got = big[0]; });
+  static_assert(sizeof(big) == UniqueFunction<void()>::kInlineSize);
   // big + the reference exceed the budget together, so don't assert
   // inline here; the pure at-budget case:
-  std::array<char, UniqueFunction::kInlineSize - sizeof(void*)> fits{};
+  std::array<char, UniqueFunction<void()>::kInlineSize - sizeof(void*)> fits{};
   fits[0] = 5;
-  UniqueFunction h([fits, &got] { got = fits[0]; });
+  UniqueFunction<void()> h([fits, &got] { got = fits[0]; });
   EXPECT_TRUE(h.is_inline());
   h();
   EXPECT_EQ(got, 5);
@@ -425,14 +425,14 @@ TEST(UniqueFunctionTest, SmallCaptureStaysInline) {
 }
 
 TEST(UniqueFunctionTest, OversizedCaptureFallsBackToHeap) {
-  std::array<char, UniqueFunction::kInlineSize + 1> big{};
+  std::array<char, UniqueFunction<void()>::kInlineSize + 1> big{};
   big[1] = 9;
   int got = 0;
-  UniqueFunction f([big, &got] { got = big[1]; });
+  UniqueFunction<void()> f([big, &got] { got = big[1]; });
   EXPECT_TRUE(static_cast<bool>(f));
   EXPECT_FALSE(f.is_inline());
   // Heap payloads relocate by pointer; the callable survives moves.
-  UniqueFunction g = std::move(f);
+  UniqueFunction<void()> g = std::move(f);
   g();
   EXPECT_EQ(got, 9);
 }
@@ -452,10 +452,11 @@ struct DtorCounter {
 TEST(UniqueFunctionTest, DestroysPayloadExactlyOnce) {
   int destroyed = 0;
   {
-    UniqueFunction f([d = DtorCounter(&destroyed)] { (void)d; });
+    UniqueFunction<void()> f([d = DtorCounter(&destroyed)] { (void)d; });
     EXPECT_TRUE(f.is_inline());
-    UniqueFunction g = std::move(f);  // relocation must not double-destroy
-    UniqueFunction h;
+    // Relocation must not double-destroy.
+    UniqueFunction<void()> g = std::move(f);
+    UniqueFunction<void()> h;
     h = std::move(g);
     EXPECT_EQ(destroyed, 0);
   }
@@ -464,8 +465,8 @@ TEST(UniqueFunctionTest, DestroysPayloadExactlyOnce) {
 
 TEST(UniqueFunctionTest, MoveAssignDestroysPreviousPayload) {
   int destroyed = 0;
-  UniqueFunction f([d = DtorCounter(&destroyed)] { (void)d; });
-  f = UniqueFunction([] {});
+  UniqueFunction<void()> f([d = DtorCounter(&destroyed)] { (void)d; });
+  f = UniqueFunction<void()>([] {});
   EXPECT_EQ(destroyed, 1);
   EXPECT_TRUE(static_cast<bool>(f));
 }
@@ -474,12 +475,113 @@ TEST(UniqueFunctionTest, InlinePayloadRelocatesByValue) {
   // The captured value must travel with the object across moves, not stay
   // behind in the old storage.
   uint64_t seen = 0;
-  UniqueFunction f([v = uint64_t(0xDEADBEEFCAFEull), &seen] { seen = v; });
+  UniqueFunction<void()> f(
+      [v = uint64_t(0xDEADBEEFCAFEull), &seen] { seen = v; });
   ASSERT_TRUE(f.is_inline());
-  UniqueFunction g = std::move(f);
-  UniqueFunction h = std::move(g);
+  UniqueFunction<void()> g = std::move(f);
+  UniqueFunction<void()> h = std::move(g);
   h();
   EXPECT_EQ(seen, 0xDEADBEEFCAFEull);
+}
+
+TEST(UniqueFunctionTest, ForwardsArgumentsAndReturnsValue) {
+  UniqueFunction<int(int, int)> add([](int a, int b) { return a + b; });
+  EXPECT_EQ(add(2, 3), 5);
+
+  // Reference parameters reach the callable as references.
+  UniqueFunction<void(int&)> bump([](int& x) { ++x; });
+  int x = 41;
+  bump(x);
+  EXPECT_EQ(x, 42);
+
+  // A void signature discards the callable's own return value.
+  int sum = 0;
+  UniqueFunction<void(int)> accumulate([&sum](int v) { return sum += v; });
+  accumulate(4);
+  accumulate(5);
+  EXPECT_EQ(sum, 9);
+}
+
+TEST(UniqueFunctionTest, ForwardsMoveOnlyArguments) {
+  UniqueFunction<int(std::unique_ptr<int>)> take(
+      [](std::unique_ptr<int> p) { return *p; });
+  EXPECT_EQ(take(std::make_unique<int>(17)), 17);
+
+  // The engine callback shapes: a Buffer argument, a Result<Buffer>
+  // argument carrying either the payload or the failure.
+  UniqueFunction<size_t(Buffer)> size_of(
+      [](Buffer b) { return b.size(); });
+  EXPECT_EQ(size_of(Buffer(std::string_view("four"))), 4u);
+
+  std::string got;
+  UniqueFunction<void(Result<Buffer>)> reply(
+      [&got](Result<Buffer> r) {
+        got = r.ok() ? r->ToString() : r.status().ToString();
+      });
+  reply(Buffer(std::string_view("payload")));
+  EXPECT_EQ(got, "payload");
+  reply(Status::Unavailable("down"));
+  EXPECT_NE(got.find("down"), std::string::npos);
+}
+
+TEST(UniqueFunctionTest, ReturnsMoveOnlyResult) {
+  UniqueFunction<Result<Buffer>(ByteSpan)> echo(
+      [](ByteSpan in) -> Result<Buffer> {
+        if (in.empty()) return Status::InvalidArgument("empty");
+        return Buffer(in.data(), in.size());
+      });
+  Buffer in(std::string_view("abc"));
+  Result<Buffer> out = echo(in.span());
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->ToString(), "abc");
+  EXPECT_FALSE(echo(ByteSpan()).ok());
+}
+
+TEST(UniqueFunctionTest, NullptrAndDefaultAreEmpty) {
+  UniqueFunction<int(int)> a;
+  UniqueFunction<int(int)> b(nullptr);
+  UniqueFunction<int(int)> c = nullptr;
+  EXPECT_FALSE(static_cast<bool>(a));
+  EXPECT_FALSE(static_cast<bool>(b));
+  EXPECT_FALSE(static_cast<bool>(c));
+  EXPECT_FALSE(a.is_inline());
+
+  // Assigning nullptr empties a full function and destroys its payload.
+  int destroyed = 0;
+  UniqueFunction<int(int)> f(
+      [d = DtorCounter(&destroyed)](int v) { return v; });
+  ASSERT_TRUE(static_cast<bool>(f));
+  f = nullptr;
+  EXPECT_FALSE(static_cast<bool>(f));
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(UniqueFunctionTest, RepeatedCallsShareState) {
+  UniqueFunction<int()> next([n = 0]() mutable { return ++n; });
+  EXPECT_EQ(next(), 1);
+  EXPECT_EQ(next(), 2);
+  UniqueFunction<int()> moved = std::move(next);
+  EXPECT_EQ(moved(), 3);
+}
+
+TEST(UniqueFunctionTest, InlineHeapSplitWithArguments) {
+  using Fn = UniqueFunction<uint64_t(uint64_t)>;
+  // The inline budget is the same for every signature.
+  static_assert(Fn::kInlineSize == UniqueFunction<void()>::kInlineSize);
+  static_assert(sizeof(Fn) == sizeof(UniqueFunction<void()>));
+
+  std::array<uint8_t, Fn::kInlineSize> fits{};
+  fits[0] = 2;
+  Fn small([fits](uint64_t x) { return x * fits[0]; });
+  EXPECT_TRUE(small.is_inline());
+  EXPECT_EQ(small(21), 42u);
+
+  std::array<uint8_t, Fn::kInlineSize + 1> big{};
+  big[Fn::kInlineSize] = 3;
+  Fn large([big](uint64_t x) { return x * big[Fn::kInlineSize]; });
+  EXPECT_FALSE(large.is_inline());
+  Fn moved = std::move(large);
+  EXPECT_EQ(moved(5), 15u);
 }
 
 }  // namespace

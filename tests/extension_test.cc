@@ -243,7 +243,7 @@ TEST(SprocMigrationTest, BackloggedDpuMigratesSprocsToHost) {
 
   // Backlog the DPU cores with long jobs, then invoke a burst of sprocs.
   for (int i = 0; i < 64; ++i) {
-    server.dpu_cpu().Execute(50'000'000, UniqueFunction([] {}));
+    server.dpu_cpu().Execute(50'000'000, UniqueFunction<void()>([] {}));
   }
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(engine.InvokeSproc("tick").ok());
@@ -261,7 +261,7 @@ TEST(SprocMigrationTest, DisabledStaysOnDpu) {
   ASSERT_TRUE(
       engine.RegisterSproc("tick", [&](ce::SprocContext&) { ++ran; }).ok());
   for (int i = 0; i < 64; ++i) {
-    server.dpu_cpu().Execute(50'000'000, UniqueFunction([] {}));
+    server.dpu_cpu().Execute(50'000'000, UniqueFunction<void()>([] {}));
   }
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(engine.InvokeSproc("tick").ok());
@@ -284,7 +284,7 @@ TEST(SprocMigrationTest, MigratedSprocsFinishSoonerUnderDpuOverload) {
     (void)engine.RegisterSproc(
         "work", [&](ce::SprocContext&) { last_done = sim.now(); });
     for (int i = 0; i < 64; ++i) {
-      server.dpu_cpu().Execute(10'000'000, UniqueFunction([] {}));
+      server.dpu_cpu().Execute(10'000'000, UniqueFunction<void()>([] {}));
     }
     for (int i = 0; i < 30; ++i) (void)engine.InvokeSproc("work");
     sim.Run();

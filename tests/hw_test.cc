@@ -35,7 +35,9 @@ TEST(CpuClusterTest, CoresConsumedMatchesOfferedLoad) {
   CpuCluster cpu(&sim, CpuSpec{"c", 8, 1.0e9, 1.0});
   // Offer 4 concurrent streams of back-to-back 1000-cycle jobs for 1 ms.
   for (int s = 0; s < 4; ++s) {
-    for (int j = 0; j < 1000; ++j) cpu.Execute(1000, UniqueFunction([] {}));
+    for (int j = 0; j < 1000; ++j) {
+      cpu.Execute(1000, UniqueFunction<void()>([] {}));
+    }
   }
   sim.Run();
   // 4M cycles of work on a 1 GHz cluster = 4 ms of busy time.

@@ -58,7 +58,7 @@ TEST(PlatformTest, TwoPlatformsShareTheFabric) {
 // A stage that waits `delay` then appends a marker byte.
 StageFn DelayStage(sim::Simulator* sim, sim::SimTime delay, uint8_t marker) {
   return [sim, delay, marker](Buffer item,
-                              std::function<void(Result<Buffer>)> done) {
+                              UniqueFunction<void(Result<Buffer>)> done) {
     sim->Schedule(delay, [item = std::move(item), marker,
                           done = std::move(done)]() mutable {
       item.AppendU8(marker);
@@ -91,7 +91,7 @@ TEST(PipelineTest, FailuresStopTheItem) {
   sim::Simulator sim;
   Pipeline pipeline;
   pipeline
-      .AddStage([](Buffer item, std::function<void(Result<Buffer>)> done) {
+      .AddStage([](Buffer item, UniqueFunction<void(Result<Buffer>)> done) {
         if (item.size() > 2) {
           done(Status::InvalidArgument("too big"));
         } else {
@@ -150,7 +150,7 @@ TEST(PipelineTest, StreamedBeatsBarrierOnWallClock) {
 
 TEST(BatchPipelineTest, EmptyBatchCompletes) {
   BatchPipeline batch;
-  batch.AddStage([](Buffer b, std::function<void(Result<Buffer>)> done) {
+  batch.AddStage([](Buffer b, UniqueFunction<void(Result<Buffer>)> done) {
     done(std::move(b));
   });
   bool done = false;
@@ -191,27 +191,27 @@ TEST(CompositionTest, ReadCompressSendPipeline) {
   Pipeline pipeline;
   pipeline
       .AddStage([&](Buffer page_index_buf,
-                    std::function<void(Result<Buffer>)> done) {
+                    UniqueFunction<void(Result<Buffer>)> done) {
         ByteReader r(page_index_buf.span());
         uint64_t index = 0;
         r.ReadU64(&index);
         storage_node.storage().file_service().ReadAsync(
             *file, index * 65536, 65536,
-            [done = std::move(done)](Result<Buffer> data) {
+            [done = std::move(done)](Result<Buffer> data) mutable {
               done(std::move(data));
             });
       })
-      .AddStage([&](Buffer page, std::function<void(Result<Buffer>)> done) {
+      .AddStage([&](Buffer page, UniqueFunction<void(Result<Buffer>)> done) {
         auto item = storage_node.compute().Invoke(
             ce::kKernelCompress, std::move(page), {},
             {ce::ExecTarget::kDpuAsic});
         ASSERT_TRUE(item.ok());
-        (*item)->OnComplete([done = std::move(done)](ce::WorkItem& w) {
+        (*item)->OnComplete([done = std::move(done)](ce::WorkItem& w) mutable {
           done(w.result());
         });
       })
       .AddStage([&](Buffer compressed,
-                    std::function<void(Result<Buffer>)> done) {
+                    UniqueFunction<void(Result<Buffer>)> done) {
         Buffer framed;
         framed.AppendU32(uint32_t(compressed.size()));
         framed.Append(compressed.span());
@@ -246,14 +246,14 @@ TEST(UtilizationProbeTest, MeasuresWindowedBusyTime) {
   sim::Simulator sim;
   hw::Server server(&sim, hw::DefaultServerSpec());
   // Warm-up work outside the window must not count.
-  server.host_cpu().Execute(3'000'000, UniqueFunction([] {}));
+  server.host_cpu().Execute(3'000'000, UniqueFunction<void()>([] {}));
   sim.Run();
 
   UtilizationProbe probe(&server);
   probe.Start();
   // 64 cores x 1e6 cycles at 3 GHz = 64/3 ms busy inside the window.
   for (int i = 0; i < 64; ++i) {
-    server.host_cpu().Execute(1'000'000, UniqueFunction([] {}));
+    server.host_cpu().Execute(1'000'000, UniqueFunction<void()>([] {}));
   }
   sim.Run();
   probe.Stop();

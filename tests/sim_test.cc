@@ -184,7 +184,7 @@ TEST(ResourceTest, SubmitFromCompletionCallback) {
   Simulator sim;
   Resource r(&sim, "cpu", 1);
   int chain = 0;
-  UniqueFunction step;
+  UniqueFunction<void()> step;
   r.Submit(10, [&] {
     ++chain;
     r.Submit(10, [&] { ++chain; });

@@ -149,7 +149,7 @@ constexpr Policy kSampledPolicies[] = {
 
 // Self-check half: every sampled policy must leave the planted bug
 // hidden, or the seed no longer plants what this oracle claims.
-bool HiddenFromSampledPolicies(const char* label, const Scenario& scenario) {
+bool HiddenFromSampledPolicies(const char* label, Scenario scenario) {
   bool all_hidden = true;
   for (const Policy& p : kSampledPolicies) {
     Simulator sim;

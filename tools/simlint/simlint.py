@@ -48,6 +48,13 @@ Rules:
                              schedule dependence. Derive a per-request
                              generator instead:
                              Pcg32(SplitMix64(seed ^ stream ^ counter)).
+  R8  copyable-callback      std::function in src/. The simulator has one
+                             callback type, the move-only UniqueFunction
+                             (common/function.h): a copyable wrapper
+                             silently duplicates captured state and
+                             allocates past 16 bytes. Keep std::function
+                             only where values really are copied, each
+                             with an allow naming the copy.
 
 Suppression:
   * inline, same or previous line:  // simlint:allow(R1): <reason>
@@ -85,6 +92,7 @@ RULES = {
     "R6": "same-timestamp scheduling / raw-`this` capture in a scheduled "
           "callback",
     "R7": "shared Pcg32 drawn inside a by-reference lambda capture",
+    "R8": "std::function in src/ (use the move-only UniqueFunction)",
 }
 
 
@@ -107,7 +115,7 @@ strip_comments_and_strings = lintcommon.strip_comments_and_strings
 def inline_suppressions(original_text, path, errors):
     """Maps rule -> {covered line: line of the allow comment itself}."""
     return lintcommon.inline_suppressions(
-        original_text, path, errors, "simlint", "R[1-7]")
+        original_text, path, errors, "simlint", "R[1-8]")
 
 
 def load_allowlist(path):
@@ -460,11 +468,32 @@ def check_r7(path, stripped, report):
 
 
 # ---------------------------------------------------------------------------
+# R8: std::function in src/. Library callbacks are UniqueFunction<Sig>; a
+# copyable wrapper is kept only where a value is really copied.
+# ---------------------------------------------------------------------------
+
+R8_STD_FUNCTION = re.compile(r"\bstd::function\b")
+
+
+def check_r8(path, stripped, report):
+    if not path.replace(os.sep, "/").startswith("src/"):
+        return
+    for lineno, line in enumerate(stripped.splitlines(), start=1):
+        if R8_STD_FUNCTION.search(line):
+            report(Violation(
+                path, lineno, "R8",
+                "std::function in src/: callbacks are the move-only "
+                "UniqueFunction<Sig> (common/function.h) — keep a copyable "
+                "wrapper only where the value is copied, with an allow "
+                "naming the copy"))
+
+
+# ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
 
 CHECKS = [check_r1, check_r2, check_r3, check_r4, check_r5, check_r6,
-          check_r7]
+          check_r7, check_r8]
 
 
 def lint_text(path, text, file_allow=None, errors=None,

@@ -403,6 +403,40 @@ class R7Test(unittest.TestCase):
         self.assertEqual(lint(text), [])
 
 
+class R8Test(unittest.TestCase):
+    def lint_src(self, text):
+        return simlint.lint_text("src/core/fixture.h", text)
+
+    def test_std_function_in_src_fires(self):
+        for snippet in [
+            "using ReplyFn = std::function<void(Result<Buffer>)>;",
+            "void Listen(uint16_t port, std::function<void(int)> cb);",
+            "std::vector<std::function<void()>> continuations_;",
+        ]:
+            with self.subTest(snippet=snippet):
+                self.assertEqual(rules_of(self.lint_src(snippet)), ["R8"])
+
+    def test_unique_function_and_prose_stay_quiet(self):
+        for snippet in [
+            "using ReplyFn = UniqueFunction<void(Result<Buffer>)>;",
+            "// unlike std::function, a UniqueFunction is move-only",
+            "std::move_only_function<void()> f;",
+        ]:
+            with self.subTest(snippet=snippet):
+                self.assertEqual(self.lint_src(snippet), [])
+
+    def test_outside_src_is_out_of_scope(self):
+        text = "std::function<void(uint64_t)> arrive = [&](uint64_t i) {};"
+        self.assertEqual(simlint.lint_text("bench/fixture.cc", text), [])
+        self.assertEqual(lint(text), [])
+
+    def test_allow_with_reason_suppresses(self):
+        text = ("using KernelFn = std::function<  "
+                "// simlint:allow(R8): copied with DpKernel\n"
+                "    Result<Buffer>(ByteSpan input)>;\n")
+        self.assertEqual(self.lint_src(text), [])
+
+
 class StaleSuppressionTest(unittest.TestCase):
     def test_unused_inline_allow_is_flagged(self):
         text = ("// simlint:allow(R1): left behind after a refactor\n"
