@@ -2,13 +2,15 @@
 """simscope dynamic cross-check driver.
 
 Runs every simulator-driven test binary in the build tree with the race
-checker on and DPDPU_SIM_RACE_COVERAGE pointed at a shared file, so each
-RaceChecker appends the object names it actually observed; then invokes
-`simscope --xcheck` to diff the statically reachable annotations against
-that dynamic observation set. A statically reachable annotation that is
-never observed is a dead annotation or an untested path (rule S2) — the
-static analyzer cannot tell which, but either one means simrace is not
-exercising what simscope claims is covered.
+checker on, at most os.cpu_count() at a time, each with
+DPDPU_SIM_RACE_COVERAGE pointed at its own file, so each RaceChecker
+appends the object names it actually observed; then concatenates the
+files and invokes `simscope --xcheck` to diff the statically reachable
+annotations against that dynamic observation set. A statically
+reachable annotation that is never observed is a dead annotation or an
+untested path (rule S2) — the static analyzer cannot tell which, but
+either one means simrace is not exercising what simscope claims is
+covered.
 
 Exit status is simscope's: 0 when every reachable annotation was
 observed, 1 otherwise. Binaries that fail under the race checker fail
@@ -16,7 +18,9 @@ the run too (a race found on the way to coverage is still a race).
 """
 
 import argparse
+import concurrent.futures
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -48,6 +52,16 @@ TEST_BINARIES = [
 ]
 
 
+def run_binary(binary, cov_path):
+    """Runs one test binary under the checker; returns (rc, stderr)."""
+    env = dict(os.environ)
+    env["DPDPU_SIM_RACECHECK"] = "1"
+    env["DPDPU_SIM_RACE_COVERAGE"] = cov_path
+    proc = subprocess.run([binary], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE)
+    return proc.returncode, proc.stderr
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build",
@@ -72,28 +86,34 @@ def main():
 
     if args.keep_coverage:
         cov_path = os.path.abspath(args.keep_coverage)
-        open(cov_path, "w").close()  # truncate: one run, one dump
-        cleanup = False
     else:
         fd, cov_path = tempfile.mkstemp(prefix="simscope_cov_",
                                         suffix=".txt")
         os.close(fd)
-        cleanup = True
+    cov_dir = tempfile.mkdtemp(prefix="simscope_cov_")
 
-    env = dict(os.environ)
-    env["DPDPU_SIM_RACECHECK"] = "1"
-    env["DPDPU_SIM_RACE_COVERAGE"] = cov_path
-
-    failed = []
     try:
-        for t in TEST_BINARIES:
-            binary = os.path.join(tests_dir, t)
-            proc = subprocess.run([binary], env=env,
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE)
-            if proc.returncode != 0:
+        # The work runs in child processes, so a thread pool is enough
+        # to keep os.cpu_count() binaries running at once.
+        parts = [os.path.join(cov_dir, t + ".txt") for t in TEST_BINARIES]
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+            results = list(pool.map(
+                run_binary,
+                [os.path.join(tests_dir, t) for t in TEST_BINARIES], parts))
+
+        # One run, one dump: the merged file is rewritten, never appended.
+        with open(cov_path, "wb") as merged:
+            for part in parts:
+                if os.path.exists(part):
+                    with open(part, "rb") as f:
+                        shutil.copyfileobj(f, merged)
+
+        failed = []
+        for t, (returncode, stderr) in zip(TEST_BINARIES, results):
+            if returncode != 0:
                 failed.append(t)
-                sys.stderr.buffer.write(proc.stderr)
+                sys.stderr.buffer.write(stderr)
         if failed:
             print(f"run_xcheck: {len(failed)} test binar"
                   f"{'y' if len(failed) == 1 else 'ies'} failed under "
@@ -108,7 +128,8 @@ def main():
              "--coverage", cov_path],
             cwd=args.repo_root).returncode
     finally:
-        if cleanup:
+        shutil.rmtree(cov_dir)
+        if not args.keep_coverage:
             os.unlink(cov_path)
 
 

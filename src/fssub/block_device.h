@@ -1,14 +1,18 @@
 // Block device abstraction backing DpuFs. MemBlockDevice stores real
-// bytes in memory and supports crash injection: after a configurable
-// number of successful writes, further writes are silently dropped —
-// emulating a power cut with writes in flight, which the journal recovery
-// tests exercise.
+// bytes in memory, sparsely: a block's buffer is allocated on its first
+// accepted write and a block never written reads as zeros, so a node
+// costs memory for the blocks it uses rather than for its whole device.
+// It supports crash injection: after a configurable number of
+// successful writes, further writes are silently dropped (and allocate
+// nothing) — emulating a power cut with writes in flight, which the
+// journal recovery tests exercise.
 
 #ifndef DPDPU_FSSUB_BLOCK_DEVICE_H_
 #define DPDPU_FSSUB_BLOCK_DEVICE_H_
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/buffer.h"
@@ -32,13 +36,13 @@ class BlockDevice {
   virtual Status WriteBlock(uint64_t block, ByteSpan data) = 0;
 };
 
-/// In-memory block device with write-failure injection.
+/// Sparse in-memory block device with write-failure injection.
 class MemBlockDevice final : public BlockDevice {
  public:
   MemBlockDevice(uint32_t block_size, uint64_t num_blocks);
 
   uint32_t block_size() const override { return block_size_; }
-  uint64_t num_blocks() const override { return num_blocks_; }
+  uint64_t num_blocks() const override { return blocks_.size(); }
   Status ReadBlock(uint64_t block, MutableByteSpan out) const override;
   Status WriteBlock(uint64_t block, ByteSpan data) override;
 
@@ -55,8 +59,8 @@ class MemBlockDevice final : public BlockDevice {
 
  private:
   uint32_t block_size_;
-  uint64_t num_blocks_;
-  std::vector<uint8_t> data_;
+  /// One buffer per block, null until the block's first accepted write.
+  std::vector<std::unique_ptr<uint8_t[]>> blocks_;
   uint64_t writes_ = 0;
   uint64_t dropped_writes_ = 0;
   uint64_t writes_remaining_ = std::numeric_limits<uint64_t>::max();

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/function.h"
 #include "common/histogram.h"
@@ -85,24 +86,48 @@ class Resource {
     HbToken submit_token;  // submit happens-before grant
   };
 
+  /// A running job's continuation, parked in a Resource-owned slot so the
+  /// completion event's closure is just [this, slot] and fits inline.
+  struct Slot {
+    UniqueFunction<void()> on_complete;
+    std::optional<SimTime> latency;
+  };
+
   void StartJob(SimTime service_time, UniqueFunction<void()> on_complete,
                 std::optional<SimTime> latency, SimTime waited) {
     ++busy_;
     busy_time_ += service_time;
     wait_hist_.Add(waited);
+    if (free_slots_.empty()) {
+      free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+      slots_.emplace_back();
+    }
+    uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = Slot{std::move(on_complete), latency};
+    // The completion closure captures only `this` and the slot, so it
+    // fits UniqueFunction's inline storage: no per-job allocation.
+    static_assert(sizeof(Resource*) + sizeof(uint32_t) <=
+                  UniqueFunction<void()>::kInlineSize);
     // Resources are long-lived members of the hardware models; every
     // model drains the simulator before destruction.
     // simlint:allow(R6): Resource outlives the drained event heap
-    sim_->Schedule(service_time,
-                   [this, cb = std::move(on_complete), latency]() mutable {
-                     FinishJob();
-                     if (!cb) return;
-                     if (latency.has_value()) {
-                       sim_->Schedule(*latency, std::move(cb));
-                     } else {
-                       cb();
-                     }
-                   });
+    sim_->Schedule(service_time, [this, slot] { CompleteJob(slot); });
+  }
+
+  void CompleteJob(uint32_t slot) {
+    // Take the continuation and free its slot before FinishJob, so a
+    // grant from the queue can reuse the slot.
+    UniqueFunction<void()> cb = std::move(slots_[slot].on_complete);
+    std::optional<SimTime> latency = slots_[slot].latency;
+    free_slots_.push_back(slot);
+    FinishJob();
+    if (!cb) return;
+    if (latency.has_value()) {
+      sim_->Schedule(*latency, std::move(cb));
+    } else {
+      cb();
+    }
   }
 
   void FinishJob() {
@@ -125,6 +150,9 @@ class Resource {
   SimTime busy_time_ = 0;
   uint64_t jobs_completed_ = 0;
   std::deque<Pending> queue_;
+  /// Continuations of running jobs; at most `capacity_` are in use.
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;  // indices into slots_
   Histogram wait_hist_;
 };
 

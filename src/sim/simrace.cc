@@ -25,6 +25,8 @@ std::atomic<RaceChecker*> g_current{nullptr};
 // bucket are exact regardless: the parent id travels with the event).
 constexpr size_t kProvenanceWindow = size_t{1} << 18;
 
+constexpr uint32_t kNotInBucket = ~0u;
+
 const char* KindName(AccessKind kind) {
   switch (kind) {
     case AccessKind::kRead:
@@ -71,12 +73,12 @@ void RaceChecker::OnSchedule(uint64_t event, uint64_t time, uint64_t parent) {
 }
 
 void RaceChecker::BeginEvent(uint64_t event, uint64_t time, uint64_t parent) {
-  if (bucket_valid_ && time != bucket_time_) FlushBucket();
+  if (!events_.empty() && time != bucket_time_) FlushBucket();
   bucket_time_ = time;
-  bucket_valid_ = true;
   current_event_ = event;
-  BucketEvent& be = bucket_[event];
-  if (parent != kNoEvent) be.preds.push_back(parent);
+  events_.push_back(event);
+  pred_begin_.push_back(static_cast<uint32_t>(preds_.size()));
+  if (parent != kNoEvent) preds_.push_back(parent);
   g_current.store(this, std::memory_order_relaxed);
 }
 
@@ -96,28 +98,53 @@ void RaceChecker::RecordAccess(const RaceTag& tag, const char* object,
   ++accesses_recorded_;
 }
 
-void RaceChecker::AddEdge(uint64_t from, uint64_t to) {
-  if (from == kNoEvent || to == kNoEvent || from == to) return;
-  auto it = bucket_.find(to);
-  if (it == bucket_.end()) return;  // `to` not executing this bucket
-  it->second.preds.push_back(from);
+void RaceChecker::Consume(const HbToken& token) {
+  // The target is the executing event, the newest in the bucket, so its
+  // predecessors are the tail of preds_. Outside an event, or after a
+  // mid-event Finalize flushed the bucket, the edge is dropped.
+  if (token.event == kNoEvent || token.event == current_event_) return;
+  if (events_.empty() || events_.back() != current_event_) return;
+  preds_.push_back(token.event);
 }
 
-bool RaceChecker::HappensBefore(uint64_t a, uint64_t b) const {
+uint32_t RaceChecker::BucketIndex(uint64_t event) {
+  if (index_.empty()) {
+    index_.reserve(events_.size());
+    for (size_t i = 0; i < events_.size(); ++i) {
+      index_.emplace_back(events_[i], static_cast<uint32_t>(i));
+    }
+    std::sort(index_.begin(), index_.end());
+  }
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), event,
+      [](const std::pair<uint64_t, uint32_t>& entry, uint64_t id) {
+        return entry.first < id;
+      });
+  if (it == index_.end() || it->first != event) return kNotInBucket;
+  return it->second;
+}
+
+bool RaceChecker::HappensBefore(uint64_t a, uint64_t b) {
   // Backward DFS from b over predecessor edges, pruned to events in the
   // current bucket: an ancestor at an earlier timestamp can never lead
   // back to a same-timestamp event (ScheduleAt forbids scheduling into
   // the past), so leaving the bucket ends the search branch.
-  std::vector<uint64_t> stack{b};
-  std::set<uint64_t> visited;
-  while (!stack.empty()) {
-    uint64_t e = stack.back();
-    stack.pop_back();
-    if (e == a) return true;
-    if (!visited.insert(e).second) continue;
-    auto it = bucket_.find(e);
-    if (it == bucket_.end()) continue;
-    for (uint64_t pred : it->second.preds) stack.push_back(pred);
+  uint32_t start = BucketIndex(b);
+  if (start == kNotInBucket) return false;
+  ++visit_stamp_;  // 64-bit: never wraps, so old marks never match
+  visited_[start] = visit_stamp_;
+  dfs_stack_.assign(1, start);
+  while (!dfs_stack_.empty()) {
+    uint32_t e = dfs_stack_.back();
+    dfs_stack_.pop_back();
+    for (uint32_t p = pred_begin_[e]; p < pred_begin_[e + 1]; ++p) {
+      uint64_t pred = preds_[p];
+      if (pred == a) return true;
+      uint32_t i = BucketIndex(pred);
+      if (i == kNotInBucket || visited_[i] == visit_stamp_) continue;
+      visited_[i] = visit_stamp_;
+      dfs_stack_.push_back(i);
+    }
   }
   return false;
 }
@@ -151,6 +178,10 @@ void RaceChecker::ReportRace(const Access& a, const Access& b) {
 
 void RaceChecker::FlushBucket() {
   if (!accesses_.empty()) {
+    // Close the newest event's predecessor range and size the visit
+    // stamps for HappensBefore.
+    pred_begin_.push_back(static_cast<uint32_t>(preds_.size()));
+    if (visited_.size() < events_.size()) visited_.resize(events_.size(), 0);
     // Group by (object, key); stable sort keeps execution order inside
     // each group so "first" in a report is the access that actually ran
     // first under the current tie-break.
@@ -190,8 +221,10 @@ void RaceChecker::FlushBucket() {
     }
     accesses_.clear();
   }
-  bucket_.clear();
-  bucket_valid_ = false;
+  events_.clear();
+  pred_begin_.clear();
+  preds_.clear();
+  index_.clear();
 }
 
 std::string RaceChecker::FormatReport(const RaceReport& report) const {
@@ -239,7 +272,7 @@ std::vector<std::string> RaceChecker::observed_objects() const {
 }
 
 void RaceChecker::Finalize() {
-  if (bucket_valid_) FlushBucket();
+  if (!events_.empty()) FlushBucket();
   if (!finalized_) {
     // Append so one xcheck run can accumulate coverage across every
     // simulator (and every process) a test binary creates.

@@ -35,7 +35,6 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -144,9 +143,7 @@ class RaceChecker {
   /// Token naming the currently executing event (empty outside events).
   HbToken Publish() const { return HbToken{current_event_}; }
   /// Adds the edge token.event -> current event to the causal DAG.
-  void Consume(const HbToken& token) { AddEdge(token.event, current_event_); }
-  /// Raw edge: `from` happened before `to`.
-  void AddEdge(uint64_t from, uint64_t to);
+  void Consume(const HbToken& token);
 
   // --- results --------------------------------------------------------------
 
@@ -168,9 +165,6 @@ class RaceChecker {
     uint64_t key = 0;
     uint64_t event = kNoEvent;
   };
-  struct BucketEvent {
-    std::vector<uint64_t> preds;  // happens-before predecessors
-  };
   struct Provenance {
     uint64_t event = kNoEvent;
     uint64_t parent = kNoEvent;
@@ -178,7 +172,9 @@ class RaceChecker {
   };
 
   void FlushBucket();
-  bool HappensBefore(uint64_t a, uint64_t b) const;
+  bool HappensBefore(uint64_t a, uint64_t b);
+  /// Bucket index of `event`, or kNotInBucket.
+  uint32_t BucketIndex(uint64_t event);
   std::vector<std::pair<uint64_t, uint64_t>> Chain(uint64_t event) const;
   void ReportRace(const Access& a, const Access& b);
   void PrintNewReports();
@@ -186,9 +182,20 @@ class RaceChecker {
   Options options_;
   uint64_t current_event_ = kNoEvent;
   uint64_t bucket_time_ = 0;
-  bool bucket_valid_ = false;
-  /// Events of the current timestamp bucket with their intra-DAG edges.
-  std::unordered_map<uint64_t, BucketEvent> bucket_;
+  /// The current timestamp bucket as flat arrays, reused across buckets:
+  /// its events in execution order, each event's first index into
+  /// preds_, and every event's happens-before predecessors. Edges only
+  /// ever target the executing event — the newest in the bucket — so an
+  /// event's predecessors are contiguous. Empty between buckets.
+  std::vector<uint64_t> events_;
+  std::vector<uint32_t> pred_begin_;
+  std::vector<uint64_t> preds_;
+  /// HappensBefore scratch: (event id, bucket index) sorted by id, built
+  /// on a flush's first query; the DFS stack; per-index visit stamps.
+  std::vector<std::pair<uint64_t, uint32_t>> index_;
+  std::vector<uint32_t> dfs_stack_;
+  std::vector<uint64_t> visited_;
+  uint64_t visit_stamp_ = 0;
   std::vector<Access> accesses_;  // current bucket, execution order
   /// Scheduling provenance, ring-buffered by event id (chains through
   /// ancestors older than the window are truncated when printed).

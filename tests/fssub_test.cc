@@ -58,6 +58,68 @@ TEST(BlockDeviceTest, WriteLimitSilentlyDrops) {
   EXPECT_EQ(out[0], 0);  // the drop left old contents
 }
 
+TEST(BlockDeviceTest, NeverWrittenBlocksReadAsZeros) {
+  MemBlockDevice dev(kBs, 64);
+  Buffer data(size_t{kBs});
+  for (size_t i = 0; i < kBs; ++i) data[i] = uint8_t(i * 7 + 1);
+  ASSERT_TRUE(dev.WriteBlock(10, data.span()).ok());
+  const Buffer zeros(size_t{kBs});
+  for (uint64_t block : {uint64_t{0}, uint64_t{31}, uint64_t{63}}) {
+    Buffer out(size_t{kBs});
+    MutableByteSpan span = out.mutable_span();
+    std::fill(span.begin(), span.end(), 0xAB);  // the read must clear it
+    ASSERT_TRUE(dev.ReadBlock(block, span).ok());
+    EXPECT_EQ(out, zeros) << "block " << block;
+  }
+}
+
+TEST(BlockDeviceTest, OverwriteReplacesContents) {
+  MemBlockDevice dev(kBs, 8);
+  Buffer first(size_t{kBs});
+  Buffer second(size_t{kBs});
+  for (size_t i = 0; i < kBs; ++i) {
+    first[i] = uint8_t(i);
+    second[i] = uint8_t(255 - i);
+  }
+  Buffer out(size_t{kBs});
+  ASSERT_TRUE(dev.WriteBlock(5, first.span()).ok());
+  ASSERT_TRUE(dev.ReadBlock(5, out.mutable_span()).ok());
+  EXPECT_EQ(out, first);
+  ASSERT_TRUE(dev.WriteBlock(5, second.span()).ok());
+  ASSERT_TRUE(dev.ReadBlock(5, out.mutable_span()).ok());
+  EXPECT_EQ(out, second);
+  EXPECT_EQ(dev.writes(), 2u);
+}
+
+TEST(BlockDeviceTest, DroppedWriteToFreshBlockStillReadsZeros) {
+  MemBlockDevice dev(kBs, 4);
+  Buffer ones(size_t{kBs});
+  for (size_t i = 0; i < kBs; ++i) ones[i] = 1;
+  dev.SetWriteLimit(0);
+  ASSERT_TRUE(dev.WriteBlock(2, ones.span()).ok());  // dropped, still "ok"
+  EXPECT_EQ(dev.dropped_writes(), 1u);
+  EXPECT_EQ(dev.writes(), 0u);
+  Buffer out(size_t{kBs});
+  ASSERT_TRUE(dev.ReadBlock(2, out.mutable_span()).ok());
+  EXPECT_EQ(out, Buffer(size_t{kBs}));
+}
+
+TEST(BlockDeviceTest, OutOfRangeAndWrongSizeStillFail) {
+  MemBlockDevice dev(kBs, 4);
+  Buffer data(size_t{kBs});
+  Buffer out(size_t{kBs});
+  EXPECT_TRUE(dev.ReadBlock(4, out.mutable_span()).IsOutOfRange());
+  EXPECT_TRUE(dev.WriteBlock(4, data.span()).IsOutOfRange());
+  EXPECT_TRUE(dev.ReadBlock(~uint64_t{0}, out.mutable_span()).IsOutOfRange());
+  Buffer big(size_t{kBs} + 1);
+  EXPECT_TRUE(dev.WriteBlock(3, big.span()).IsInvalidArgument());
+  EXPECT_TRUE(dev.ReadBlock(3, big.mutable_span()).IsInvalidArgument());
+  // A rejected write leaves the block unwritten.
+  EXPECT_EQ(dev.writes(), 0u);
+  ASSERT_TRUE(dev.ReadBlock(3, out.mutable_span()).ok());
+  EXPECT_EQ(out, Buffer(size_t{kBs}));
+}
+
 // --------------------------------------------------------------------------
 // Journal.
 // --------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/machine.h"
@@ -142,6 +144,67 @@ TEST(SimRaceTest, HbChainOrdersFifoStream) {
   sim.FinishRaceCheck();
   EXPECT_EQ(rc.race_count(), 0u);
   EXPECT_EQ(value.read(), 4);
+}
+
+// A 1000-event bucket at one timestamp, ordered only by an HbChain:
+// event i writes key min(i, 999 - i), so event i conflicts with event
+// 999 - i and every pair's ordering runs through the chain. Breaking the
+// first link leaves exactly one pair, (0, 999), unordered.
+struct ChainedBucket {
+  uint64_t races = 0;
+  std::vector<RaceReport> reports;
+  std::vector<uint64_t> ids;  // event id of each chained event
+};
+
+ChainedBucket RunChainedBucket(bool break_first_link) {
+  constexpr int kEvents = 1000;
+  Simulator sim;
+  RaceChecker& rc = sim.EnableRaceCheck();
+  RaceTag tag;
+  HbChain chain;
+  ChainedBucket out;
+  out.ids.resize(kEvents);
+  for (int i = 0; i < kEvents; ++i) {
+    sim.Schedule(100, [&, i] {
+      if (break_first_link && i == 1) chain = HbChain();
+      chain.Step();
+      out.ids[i] = rc.Publish().event;
+      DPDPU_SIM_ACCESS(tag, "test.chained", std::min(i, kEvents - 1 - i),
+                       AccessKind::kWrite);
+    });
+  }
+  sim.Run();
+  sim.FinishRaceCheck();
+  out.races = rc.race_count();
+  out.reports = rc.races();
+  return out;
+}
+
+TEST(SimRaceTest, LargeChainedBucketIsRaceFree) {
+  ChainedBucket run = RunChainedBucket(/*break_first_link=*/false);
+  EXPECT_EQ(run.races, 0u);
+  EXPECT_TRUE(run.reports.empty());
+}
+
+TEST(SimRaceTest, LargeBucketWithOneBrokenLinkReportsOnePair) {
+  ChainedBucket run = RunChainedBucket(/*break_first_link=*/true);
+  EXPECT_EQ(run.races, 1u);
+  ASSERT_EQ(run.reports.size(), 1u);
+  const RaceReport& report = run.reports[0];
+  EXPECT_EQ(report.object, "test.chained");
+  EXPECT_EQ(report.object_id, 1u);
+  EXPECT_EQ(report.key, 0u);
+  EXPECT_EQ(report.time, 100u);
+  EXPECT_EQ(report.first.event, run.ids[0]);
+  EXPECT_EQ(report.second.event, run.ids[999]);
+  EXPECT_EQ(report.first.event, 0u);
+  EXPECT_EQ(report.second.event, 999u);
+  EXPECT_EQ(report.first.kind, AccessKind::kWrite);
+  EXPECT_EQ(report.second.kind, AccessKind::kWrite);
+  // Both were scheduled from outside any event: the chain is self only.
+  using Chain = std::vector<std::pair<uint64_t, uint64_t>>;
+  EXPECT_EQ(report.first.provenance, (Chain{{0, 100}}));
+  EXPECT_EQ(report.second.provenance, (Chain{{999, 100}}));
 }
 
 TEST(SimRaceTest, CommutativeWritesDoNotConflict) {
