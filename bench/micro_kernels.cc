@@ -191,6 +191,24 @@ void BM_SimulatorEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvents);
 
+void BM_SimulatorEventsDeep(benchmark::State& state) {
+  // The same 1000-event batch run while 4096 far-future events stay
+  // pending: the heap depth MiniTCP's RTO timers give a fleet.
+  sim::Simulator sim;
+  for (int i = 0; i < 4096; ++i) {
+    sim.Schedule(1000 * sim::kSecond + uint64_t(i), [] {});
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      sim.Schedule(uint64_t(i % 37), [] {});
+    }
+    sim.RunFor(37);
+  }
+  benchmark::DoNotOptimize(sim.events_executed());
+  state.SetItemsProcessed(int64_t(state.iterations()) * 1000);
+}
+BENCHMARK(BM_SimulatorEventsDeep);
+
 void BM_PeriodicTaskTicks(benchmark::State& state) {
   // Steady-state periodic sampling: exercises the once-wrapped callback
   // path (per tick, one shared_ptr-sized closure in the SBO buffer).

@@ -84,11 +84,13 @@ class ScheduleChooser {
 /// Single-threaded event-driven simulator.
 class Simulator {
  public:
-  // Pre-size the event heap: fleet-scale runs push thousands of events
-  // immediately, and growing a vector of 96-byte Events mid-run both
-  // reallocates and move-relocates every pending closure.
+  // Pre-size the key heap and the closure slots: fleet-scale runs push
+  // thousands of events immediately. Growing the heap copies only
+  // 32-byte keys; growing the slot vector relocates the pending
+  // closures, which a reserve keeps off the common path.
   Simulator() {
     heap_.reserve(1024);
+    slots_.reserve(1024);
     const EnvConfig& env = EnvConfig::Get();
     tie_policy_ = static_cast<TieBreak>(env.tie_policy);
     shuffle_seed_ = env.shuffle_seed;
@@ -111,29 +113,31 @@ class Simulator {
 
   /// Schedules `fn` to run `delay` ns from now.
   void Schedule(SimTime delay, UniqueFunction<void()> fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
+    Push(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at absolute time `t`; t must be >= now().
   void ScheduleAt(SimTime t, UniqueFunction<void()> fn) {
-    DPDPU_CHECK(t >= now_);
-    uint64_t seq = next_seq_++;
-    if (race_) race_->OnSchedule(seq, t, current_event_);
-    heap_.push_back(Event{t, TieKey(seq), seq, current_event_, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Event::Later);
+    Push(t, std::move(fn));
   }
 
   /// Executes the next event, if any. Returns false when idle.
   bool Step() {
     if (heap_.empty()) return false;
-    Event ev = chooser_ ? PopChosen() : PopNext();
-    DPDPU_CHECK(ev.time >= now_);
-    now_ = ev.time;
+    Key key = chooser_ ? PopChosen() : PopNext();
+    DPDPU_CHECK(key.time >= now_);
+    // Move the closure out and free its slot before running it: the
+    // callback may schedule events, which can grow slots_.
+    Slot& slot = slots_[key.slot];
+    UniqueFunction<void()> fn = std::move(slot.fn);
+    uint64_t parent = slot.parent;
+    free_slots_.push_back(key.slot);
+    now_ = key.time;
     ++executed_;
     ++total_executed_;
-    current_event_ = ev.seq;
-    if (race_) race_->BeginEvent(ev.seq, ev.time, ev.parent);
-    ev.fn();
+    current_event_ = key.seq;
+    if (race_) race_->BeginEvent(key.seq, key.time, parent);
+    fn();
     if (race_) race_->EndEvent();
     current_event_ = kNoEvent;
     return true;
@@ -206,34 +210,63 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  /// A pending event's heap entry. The closure stays put in
+  /// slots_[slot]; sifting moves only these 32-byte keys.
+  struct Key {
     SimTime time;
     uint64_t tie;
     uint64_t seq;
-    uint64_t parent;  // event executing when this one was scheduled
-    UniqueFunction<void()> fn;
+    uint32_t slot;
+  };
+  static_assert(sizeof(Key) == 32);
 
-    // Min-heap on (time, tie, seq) via std::push_heap's max-heap
-    // comparator; seq last keeps the order total for every policy.
-    static bool Later(const Event& a, const Event& b) {
+  /// Min-heap order on (time, tie, seq) for the max-heap std algorithms.
+  /// seq is unique, so the order is total under every policy and any
+  /// correct heap pops the same sequence.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       if (a.tie != b.tie) return a.tie > b.tie;
       return a.seq > b.seq;
     }
   };
 
-  /// Fast path: pop the heap minimum under the tie-break policy.
-  Event PopNext() {
-    std::pop_heap(heap_.begin(), heap_.end(), Event::Later);
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
+  /// A pending event's closure and the event that scheduled it.
+  struct Slot {
+    UniqueFunction<void()> fn;
+    uint64_t parent;
+  };
+
+  // Shared by Schedule and ScheduleAt so that the closure is moved once,
+  // into its slot.
+  void Push(SimTime t, UniqueFunction<void()>&& fn) {
+    DPDPU_CHECK(t >= now_);
+    uint64_t seq = next_seq_++;
+    if (race_) race_->OnSchedule(seq, t, current_event_);
+    if (free_slots_.empty()) {
+      free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+      slots_.emplace_back();
+    }
+    uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot].fn = std::move(fn);
+    slots_[slot].parent = current_event_;
+    heap_.push_back(Key{t, TieKey(seq), seq, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Exploration path: collect every event tied at the minimum
-  /// timestamp (in policy order, so pick 0 reproduces PopNext), ask the
-  /// chooser, and remove the chosen event from the middle of the heap.
-  Event PopChosen() {
+  /// Fast path: pop the heap minimum under the tie-break policy.
+  Key PopNext() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Key key = heap_.back();
+    heap_.pop_back();
+    return key;
+  }
+
+  /// Exploration path: collect every key tied at the minimum timestamp
+  /// (in policy order, so pick 0 reproduces PopNext), ask the chooser,
+  /// and remove the chosen key from the middle of the heap.
+  Key PopChosen() {
     SimTime t = heap_.front().time;
     std::vector<size_t> ties;
     for (size_t i = 0; i < heap_.size(); ++i) {
@@ -242,7 +275,7 @@ class Simulator {
     size_t idx = ties[0];
     if (ties.size() > 1) {
       std::sort(ties.begin(), ties.end(), [this](size_t a, size_t b) {
-        return Event::Later(heap_[b], heap_[a]);
+        return Later{}(heap_[b], heap_[a]);
       });
       std::vector<uint64_t> seqs(ties.size());
       for (size_t i = 0; i < ties.size(); ++i) seqs[i] = heap_[ties[i]].seq;
@@ -251,11 +284,11 @@ class Simulator {
       DPDPU_CHECK(pick < ties.size());
       idx = ties[pick];
     }
-    Event ev = std::move(heap_[idx]);
-    if (idx != heap_.size() - 1) heap_[idx] = std::move(heap_.back());
+    Key key = heap_[idx];
+    heap_[idx] = heap_.back();
     heap_.pop_back();
-    std::make_heap(heap_.begin(), heap_.end(), Event::Later);
-    return ev;
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    return key;
   }
 
   uint64_t TieKey(uint64_t seq) const {
@@ -278,7 +311,9 @@ class Simulator {
   uint64_t shuffle_seed_ = 1;
   ScheduleChooser* chooser_ = nullptr;
   static inline uint64_t total_executed_ = 0;
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;  // indices into slots_
   std::unique_ptr<RaceChecker> race_;
 };
 
